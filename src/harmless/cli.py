@@ -1,8 +1,10 @@
 """Command-line frontend for the solvers, verifier and generators.
 
 Exit codes: 0 when the question was answered, 1 for input or usage
-errors, 2 when a search budget was exhausted.  With --machine every
-output line is a single key=value pair.
+errors, 2 when a search budget or the recursion depth limit was
+exhausted, 3 when a solver's witness failed its own re-verification (an
+internal error).  With --machine every output line is a single
+key=value pair.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from .cliquewidth import parse_cexpr, solve_cliquewidth
 from .core import (
     FormatError,
-    Instance,
+    ReconstructionError,
     as_vertex_set,
     format_solution,
     parse_instance,
@@ -206,9 +208,15 @@ def main(argv=None) -> int:
     except OracleLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: recursion depth limit {sys.getrecursionlimit()} exceeded", file=sys.stderr)
+        return 2
     except (FormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ReconstructionError as e:
+        print(f"error: internal: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -169,40 +169,15 @@ def serialize_cexpr(expression: CExpression) -> str:
     return f"(cexpr {expression.labels} {render(expression.root)})"
 
 
-def eval_cexpr(expression: CExpression) -> tuple[dict[str, int], set[tuple[str, str]]]:
-    """Labels and edges of the graph the expression builds."""
-
-    def walk(node: CExpr) -> tuple[dict[str, int], set[tuple[str, str]]]:
-        if isinstance(node, Leaf):
-            return {node.name: node.label}, set()
-        if isinstance(node, Union):
-            ll, le = walk(node.left)
-            rl, re_ = walk(node.right)
-            ll.update(rl)
-            return ll, le | re_
-        labels, edges = walk(node.child)
-        if isinstance(node, Eta):
-            side_i = [v for v in labels if labels[v] == node.i]
-            side_j = [v for v in labels if labels[v] == node.j]
-            for a in side_i:
-                for b in side_j:
-                    edges.add((a, b) if a < b else (b, a))
-            return labels, edges
-        for v, lab in labels.items():
-            if lab == node.i:
-                labels[v] = node.j
-        return labels, edges
-
-    return walk(expression.root)
-
-
-def check_irredundant(
+def _build(
     expression: CExpression,
-) -> tuple[bool, Eta | None]:
-    """True iff every eta only adds edges absent from its child."""
-    offender: list[Eta | None] = [None]
+) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None]:
+    """Labels and edges of the built graph, plus the first eta in
+    post-order that re-adds an edge its child already has."""
+    offender: Eta | None = None
 
     def walk(node: CExpr) -> tuple[dict[str, int], set[tuple[str, str]]]:
+        nonlocal offender
         if isinstance(node, Leaf):
             return {node.name: node.label}, set()
         if isinstance(node, Union):
@@ -217,8 +192,8 @@ def check_irredundant(
             for a in side_i:
                 for b in side_j:
                     e = (a, b) if a < b else (b, a)
-                    if e in edges and offender[0] is None:
-                        offender[0] = node
+                    if e in edges and offender is None:
+                        offender = node
                     edges.add(e)
             return labels, edges
         for v, lab in labels.items():
@@ -226,8 +201,22 @@ def check_irredundant(
                 labels[v] = node.j
         return labels, edges
 
-    walk(expression.root)
-    return offender[0] is None, offender[0]
+    labels, edges = walk(expression.root)
+    return labels, edges, offender
+
+
+def eval_cexpr(expression: CExpression) -> tuple[dict[str, int], set[tuple[str, str]]]:
+    """Labels and edges of the graph the expression builds."""
+    labels, edges, _ = _build(expression)
+    return labels, edges
+
+
+def check_irredundant(
+    expression: CExpression,
+) -> tuple[bool, Eta | None]:
+    """True iff every eta only adds edges absent from its child."""
+    offender = _build(expression)[2]
+    return offender is None, offender
 
 
 def _dp_tables(

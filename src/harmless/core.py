@@ -140,17 +140,7 @@ def as_vertex_set(vertices: Iterable[int], n: int) -> tuple[int, ...]:
 
 def is_harmless(instance: Instance, vertices: Iterable[int]) -> bool:
     """True iff every vertex has fewer than t(v) neighbours in the set."""
-    graph = instance.graph
-    s = as_vertex_set(vertices, graph.n)
-    smask = 0
-    for v in s:
-        smask |= 1 << (v - 1)
-    masks = graph.masks
-    thresholds = instance.thresholds
-    for i in range(graph.n):
-        if (masks[i] & smask).bit_count() >= thresholds[i]:
-            return False
-    return True
+    return all(x > 0 for x in slack(instance, vertices))
 
 
 def slack(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -212,6 +202,7 @@ def parse_instance(text: str) -> Instance:
     thresholds: dict[int, int] = {}
     majority = False
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -269,8 +260,9 @@ def parse_instance(text: str) -> Instance:
             if u == v:
                 raise FormatError(f"line {lineno}: self-loop at vertex {u}")
             e = (u, v) if u < v else (v, u)
-            if e in set(edges):
+            if e in seen:
                 raise FormatError(f"line {lineno}: duplicate edge ({e[0]},{e[1]})")
+            seen.add(e)
             edges.append(e)
         else:
             raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")

@@ -9,7 +9,7 @@ single-digit bounds), not for general-purpose optimisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

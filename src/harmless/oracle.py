@@ -13,9 +13,8 @@ of guessing when the limit is hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import FormatError, Graph, Instance, SolveResult
+from .core import FormatError, Graph, Instance, ReconstructionError, SolveResult
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_EDGE_LIMIT = 20
@@ -36,9 +35,10 @@ class WeightedGraph:
 
     def __post_init__(self):
         canon = {}
+        present = set(self.graph.edges)
         for (u, v), w in self.weights.items():
             e = (u, v) if u < v else (v, u)
-            if e not in set(self.graph.edges):
+            if e not in present:
                 raise ValueError(f"weight given for missing edge ({u},{v})")
             if w < 1:
                 raise ValueError(f"edge ({u},{v}): weight {w} < 1")
@@ -88,133 +88,68 @@ def max_harmless_bruteforce(
     when even taking every undecided vertex cannot beat the incumbent.
     Phase two rebuilds the lexicographically least witness of size h by
     greedily fixing vertices in ascending order and re-running the
-    bounded feasibility search for each prefix.
+    same search, with incumbent h - 1 and goal h, for each prefix.
     """
-    graph = instance.graph
-    n = graph.n
-    masks = graph.masks
-    thresholds = instance.thresholds
-    counter = [0]
+    n = instance.graph.n
+    adjacency = [[u - 1 for u in nbrs] for nbrs in instance.graph.neighbors]
+    residual = list(instance.thresholds)
+    nodes = 0
+    best = 0
 
-    def charge():
-        counter[0] += 1
-        if counter[0] > node_budget:
-            raise OracleLimitError(
-                f"oracle limit: more than {node_budget} search nodes"
-            )
-
-    best = [0]
-
-    def search_max(v: int, size: int, residual: list[int]):
-        # v counts down from n to 1; vertices above v are decided, and
-        # the decided-in set is itself harmless (all residuals >= 1).
-        charge()
-        if size > best[0]:
-            best[0] = size
-        if v == 0 or size + v <= best[0]:
-            return
-        i = v - 1
-        nm = masks[i]
-        # include v unless some neighbour is already saturated
-        can_take = True
-        j = nm
-        while j:
-            low = j & -j
-            if residual[low.bit_length() - 1] <= 1:
-                can_take = False
-                break
-            j ^= low
-        if can_take:
-            j = nm
-            while j:
-                low = j & -j
-                residual[low.bit_length() - 1] -= 1
-                j ^= low
-            search_max(v - 1, size + 1, residual)
-            j = nm
-            while j:
-                low = j & -j
-                residual[low.bit_length() - 1] += 1
-                j ^= low
-        search_max(v - 1, size, residual)
-
-    search_max(n, 0, list(thresholds))
-    h = best[0]
-    stats = {"budget": node_budget}
-    if h == 0:
-        stats["nodes"] = counter[0]
-        return SolveResult(0, (), "brute", stats)
-
-    def completable(v: int, stop: int, size: int, residual: list[int]) -> bool:
-        # True iff the fixed choices (encoded in residual/size) extend
-        # to a harmless set of size exactly h using ids in stop+1..v.
-        charge()
-        if size == h:
+    def search(v: int, stop: int, size: int, goal: int) -> bool:
+        # Vertices stop+1..v are undecided, the rest are fixed, and the
+        # fixed-in set is itself harmless (all residuals >= 1).  True iff
+        # it extends to goal vertices; best tracks the largest size seen.
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > node_budget:
+            raise OracleLimitError(f"oracle limit: more than {node_budget} search nodes")
+        if size == goal:
             return True
-        if v == stop or size + (v - stop) < h:
+        if size > best:
+            best = size
+        if v == stop or size + (v - stop) <= best:
             return False
-        i = v - 1
-        nm = masks[i]
-        can_take = True
-        j = nm
-        while j:
-            low = j & -j
-            if residual[low.bit_length() - 1] <= 1:
-                can_take = False
+        nbrs = adjacency[v - 1]
+        # take v unless some neighbour is already saturated
+        for u in nbrs:
+            if residual[u] <= 1:
                 break
-            j ^= low
-        if can_take:
-            j = nm
-            while j:
-                low = j & -j
-                residual[low.bit_length() - 1] -= 1
-                j ^= low
-            ok = completable(v - 1, stop, size + 1, residual)
-            j = nm
-            while j:
-                low = j & -j
-                residual[low.bit_length() - 1] += 1
-                j ^= low
-            if ok:
+        else:
+            for u in nbrs:
+                residual[u] -= 1
+            found = search(v - 1, stop, size + 1, goal)
+            for u in nbrs:
+                residual[u] += 1
+            if found:
                 return True
-        return completable(v - 1, stop, size, residual)
+        return search(v - 1, stop, size, goal)
 
+    # no set has n + 1 vertices, so phase one never stops early
+    search(n, 0, 0, n + 1)
+    h = best
     # Greedy lexicographic reconstruction: walk ids upward, keep a
     # candidate only when the prefix still completes to size h among the
-    # strictly larger ids.  Phase one guarantees the loop finishes.
+    # strictly larger ids.  Phase one guarantees the loop finishes.  With
+    # the incumbent at h - 1 the bound cuts every branch that cannot reach h.
+    best = h - 1
     chosen: list[int] = []
-    residual = list(thresholds)
     for cur in range(1, n + 1):
         if len(chosen) == h:
             break
-        nm = masks[cur - 1]
-        ok = True
-        j = nm
-        while j:
-            low = j & -j
-            if residual[low.bit_length() - 1] <= 1:
-                ok = False
-                break
-            j ^= low
-        if not ok:
+        nbrs = adjacency[cur - 1]
+        if any(residual[u] <= 1 for u in nbrs):
             continue
-        j = nm
-        while j:
-            low = j & -j
-            residual[low.bit_length() - 1] -= 1
-            j ^= low
-        if completable(n, cur, len(chosen) + 1, residual):
+        for u in nbrs:
+            residual[u] -= 1
+        if search(n, cur, len(chosen) + 1, h):
             chosen.append(cur)
         else:
-            j = nm
-            while j:
-                low = j & -j
-                residual[low.bit_length() - 1] += 1
-                j ^= low
+            for u in nbrs:
+                residual[u] += 1
     if len(chosen) != h:
-        raise RuntimeError("witness reconstruction lost the optimum")
-    stats["nodes"] = counter[0]
-    return SolveResult(h, tuple(chosen), "brute", stats)
+        raise ReconstructionError("witness reconstruction lost the optimum")
+    return SolveResult(h, tuple(chosen), "brute", {"budget": node_budget, "nodes": nodes})
 
 
 def mmo_feasible_bruteforce(

@@ -27,18 +27,6 @@ class KernelTooLargeError(OracleLimitError):
 
 
 @dataclass(frozen=True)
-class Coloring:
-    n: int
-    red: frozenset
-
-    def is_red(self, v: int) -> bool:
-        return v in self.red
-
-    def tag(self, v: int) -> str:
-        return "red" if v in self.red else "green"
-
-
-@dataclass(frozen=True)
 class PlanarDecision:
     answer: bool
     witness: tuple | None
@@ -46,16 +34,15 @@ class PlanarDecision:
     kernel_stats: dict
 
 
-def color_vertices(instance: Instance) -> Coloring:
-    """Red iff some neighbour has threshold 1; such vertices are in no
-    harmless set."""
+def color_vertices(instance: Instance) -> frozenset:
+    """The red vertices: those with a threshold-1 neighbour, which are in
+    no harmless set.  Every other vertex is green."""
     graph = instance.graph
-    red = frozenset(
+    return frozenset(
         v
         for v in graph.vertices()
         if any(instance.threshold(u) == 1 for u in graph.neighbors[v - 1])
     )
-    return Coloring(graph.n, red)
 
 
 def apply_reduction1(instance: Instance) -> tuple[Instance, tuple[int, ...]]:
@@ -140,7 +127,7 @@ def _diameter_scan(
     path are None when the rule does not apply.
     """
     graph = instance.graph
-    coloring = color_vertices(instance)
+    red = color_vertices(instance)
     diameter_seen = 0
     for source in graph.vertices():
         dist = _bfs_distances(graph, source)
@@ -159,10 +146,10 @@ def _diameter_scan(
         picks = []
         for i in range(k + 1):
             v = path[6 * i]
-            if not coloring.is_red(v):
+            if v not in red:
                 picks.append(v)
                 continue
-            green = [u for u in sorted(graph.neighbors[v - 1]) if not coloring.is_red(u)]
+            green = [u for u in sorted(graph.neighbors[v - 1]) if u not in red]
             if not green:
                 return None, None, diameter_seen
             picks.append(green[0])

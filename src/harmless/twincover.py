@@ -21,11 +21,6 @@ from .nd import class_threshold_stats
 
 
 @dataclass(frozen=True)
-class TwinCover:
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TwinDecomposition:
     """Cliques of G - X with their caps under one fixed S_X.
 
@@ -40,7 +35,6 @@ class TwinDecomposition:
     cliques: tuple[tuple[int, ...], ...]
     x_neighborhoods: tuple[frozenset, ...]
     caps: tuple[int, ...]
-    tags: tuple[str, ...]
     classes: tuple[tuple[int, ...], ...]
 
 
@@ -115,27 +109,20 @@ def decompose(
         cliques.append(tuple(sorted(comp)))
     x_nbrs = []
     caps = []
-    tags = []
     for cl in cliques:
         nx = frozenset(graph.neighbors[cl[0] - 1] & xs)
         t, alpha = class_threshold_stats(instance, cl)
         m = t - len(nx & sx)
-        if alpha > m:
-            cap, tag = m - 1, "tight"
-        else:
-            cap, tag = m, "loose"
+        cap = m - 1 if alpha > m else m
         if cap < 0:
             return None
         x_nbrs.append(nx)
         caps.append(min(cap, len(cl)))
-        tags.append(tag)
     groups: dict[frozenset, list[int]] = {}
     for idx, nx in enumerate(x_nbrs):
         groups.setdefault(nx, []).append(idx)
     classes = tuple(tuple(groups[key]) for key in sorted(groups, key=sorted))
-    return TwinDecomposition(
-        tuple(cliques), tuple(x_nbrs), tuple(caps), tuple(tags), classes
-    )
+    return TwinDecomposition(tuple(cliques), tuple(x_nbrs), tuple(caps), classes)
 
 
 def build_tc_ilp(

@@ -6,6 +6,7 @@ from harmless import (
     Graph,
     Instance,
     MrssInstance,
+    ReconstructionError,
     WeightedGraph,
     parse_instance,
     serialize_instance,
@@ -181,6 +182,41 @@ def test_generate_mrss(tmp_path, capsys):
     assert code == 0 and lines[0] == "# target r=12"
     inst = parse_instance("\n".join(lines))
     assert inst.graph.n == 29
+
+
+def test_deep_brute_search_exits_two(tmp_path, capsys):
+    # one recursion level per vertex: 1100 vertices pass the default limit
+    path = tmp_path / "edgeless.hs"
+    path.write_text("p hs 1100 0\nt majority\n")
+    code, lines, err = run(capsys, "solve", str(path), "--algo", "brute")
+    assert code == 2 and lines == []
+    assert err.startswith("error: recursion depth limit ")
+
+
+def test_deep_cexpr_exits_two(tmp_path, capsys):
+    # the expression for a 300-vertex path nests about 1200 levels deep
+    text = "(eta 2 1 (union (v 2 2) (v 1 1)))"
+    for k in range(3, 301):
+        text = f"(rho 3 2 (rho 2 1 (eta 3 2 (union (v {k} 3) {text}))))"
+    cexpr = tmp_path / "p300.cexpr"
+    cexpr.write_text(f"(cexpr 3 {text})\n")
+    inst = tmp_path / "p300.hs"
+    inst.write_text("p hs 300 299\nt majority\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 300)))
+    code, lines, err = run(
+        capsys, "solve", str(inst), "--algo", "cliquewidth", "--cexpr", str(cexpr)
+    )
+    assert code == 2 and lines == []
+    assert err.startswith("error: recursion depth limit ")
+
+
+def test_reconstruction_error_exits_three(p3_file, capsys, monkeypatch):
+    def lost(instance, budget):
+        raise ReconstructionError("witness reconstruction lost the optimum")
+
+    monkeypatch.setattr("harmless.cli.max_harmless_bruteforce", lost)
+    code, lines, err = run(capsys, "solve", p3_file, "--algo", "brute")
+    assert code == 3 and lines == []
+    assert err == "error: internal: witness reconstruction lost the optimum\n"
 
 
 def test_missing_file(capsys):

@@ -57,10 +57,10 @@ def test_decompose_caps():
     inst = Instance(g, (2, 3, 3, 1))
     d = decompose(inst, (4,), ())
     assert d.cliques == ((1, 2, 3),)
-    assert d.caps == (2,) and d.tags == ("loose",)
+    assert d.caps == (2,)
     # alpha(C) = 3 > m = 2: tight, one seat lost
     tight = decompose(Instance(g, (2, 2, 2, 1)), (4,), ())
-    assert tight.caps == (1,) and tight.tags == ("tight",)
+    assert tight.caps == (1,)
 
 
 def test_decompose_dead_guess():
