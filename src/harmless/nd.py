@@ -52,33 +52,49 @@ def are_twins(graph: Graph, u: int, v: int) -> bool:
 def nd_partition(graph: Graph) -> TypePartition:
     """Group vertices into twin classes and build the type graph.
 
-    Transitivity lets each vertex be tested against one representative
-    per class; classes are ordered by smallest member.
+    Non-adjacent twins share their open neighbourhood mask and adjacent
+    twins their closed one, and no vertex has both kinds of twin (a
+    false twin a and a true twin b of v would give b in N(a), hence a in
+    N[b] = N[v], making a adjacent to v).  So one dictionary per mask
+    kind finds every class: a vertex belongs to its open bucket when
+    that holds two or more vertices, else to its closed bucket.  Classes
+    are ordered by smallest member; the type graph comes from one pass
+    over the edges, since adjacency between two twin classes is all or
+    nothing.
     """
-    classes: list[list[int]] = []
+    masks = graph.masks
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
     for v in graph.vertices():
-        for cls in classes:
-            if are_twins(graph, cls[0], v):
-                cls.append(v)
-                break
+        by_open.setdefault(masks[v - 1], []).append(v)
+        by_closed.setdefault(masks[v - 1] | 1 << (v - 1), []).append(v)
+    classes: list[list[int]] = []
+    index = [0] * (graph.n + 1)
+    for v in graph.vertices():
+        cls = by_open[masks[v - 1]]
+        if len(cls) < 2:
+            cls = by_closed[masks[v - 1] | 1 << (v - 1)]
+        if cls[0] == v:
+            index[v] = len(classes)
+            classes.append(cls)
         else:
-            classes.append([v])
+            index[v] = index[cls[0]]
     kinds = []
     for cls in classes:
         if len(cls) >= 2 and graph.has_edge(cls[0], cls[1]):
             kinds.append("clique")
         else:
             kinds.append("independent")
-    nbrs = []
-    for i, ci in enumerate(classes):
-        row = [
-            j
-            for j, cj in enumerate(classes)
-            if j != i and graph.has_edge(ci[0], cj[0])
-        ]
-        nbrs.append(tuple(row))
+    nbrs: list[set[int]] = [set() for _ in classes]
+    for u, v in graph.edges:
+        i, j = index[u], index[v]
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
     return TypePartition(
-        tuple(tuple(c) for c in classes), tuple(kinds), tuple(nbrs)
+        tuple(tuple(c) for c in classes),
+        tuple(kinds),
+        tuple(tuple(sorted(row)) for row in nbrs),
     )
 
 

@@ -10,6 +10,7 @@ before a yes is returned.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -38,80 +39,70 @@ def color_vertices(instance: Instance) -> frozenset:
     """The red vertices: those with a threshold-1 neighbour, which are in
     no harmless set.  Every other vertex is green."""
     graph = instance.graph
-    return frozenset(
-        v
-        for v in graph.vertices()
-        if any(instance.threshold(u) == 1 for u in graph.neighbors[v - 1])
+    return frozenset().union(
+        *(graph.neighbors[v - 1] for v in graph.vertices() if instance.threshold(v) == 1)
     )
 
 
 def apply_reduction1(instance: Instance) -> tuple[Instance, tuple[int, ...]]:
     """Delete red vertices whose constraints cannot bind, to a fixpoint.
 
-    Each round recomputes colors on the surviving subgraph, collects the
-    red vertices with all-red neighbourhoods (isolated reds included),
-    and keeps the largest candidate subset D in which every member v has
-    t(v) > |N(v) \\ D| (so v's own constraint is vacuous once D is gone;
-    without that guard a deletion can erase the redness certificate of a
-    neighbour and grow the maximum).  D is removed ascending, colors are
-    recomputed, and the loop repeats until nothing qualifies.
+    The candidates are the red vertices whose neighbours are all red
+    (isolated reds included); the rule deletes the largest candidate
+    subset D in which every member v has t(v) > |N(v) \\ D| (so v's own
+    constraint is vacuous once D is gone; without that guard a deletion
+    can erase the redness certificate of a neighbour and grow the
+    maximum).  D is found by peeling off members that break the bound,
+    and the peeling order does not matter, since the sets meeting the
+    bound are closed under union.
+
+    One round reaches the fixpoint.  A threshold-1 member of D has all
+    its neighbours in D, so no survivor loses its red certificate and
+    the survivors keep their colors and candidacy; and a set E
+    deletable after D would make D | E meet the bound in the first
+    place, so E lies inside the largest such set, D.
 
     Returns the instance induced on survivors (renumbered ascending) and
-    the deleted original ids in deletion order.
+    the deleted original ids, ascending.
     """
     graph = instance.graph
-    alive = set(graph.vertices())
-    log: list[int] = []
-    while True:
-        red = {
-            v
-            for v in alive
-            if any(
-                u in alive and instance.threshold(u) == 1
-                for u in graph.neighbors[v - 1]
-            )
-        }
-        candidates = {
-            v
-            for v in red
-            if all(u in red for u in graph.neighbors[v - 1] if u in alive)
-        }
-        chosen = set(candidates)
-        while True:
-            blocked = {
-                v
-                for v in chosen
-                if instance.threshold(v)
-                <= sum(1 for u in graph.neighbors[v - 1] if u in alive and u not in chosen)
-            }
-            if not blocked:
-                break
-            chosen -= blocked
-        if not chosen:
-            break
-        log += sorted(chosen)
-        alive -= chosen
+    nbrs = graph.neighbors
+    t = (0,) + instance.thresholds
+    red = color_vertices(instance)
+    chosen = {v for v in red if red.issuperset(nbrs[v - 1])}
+    outside = {v: len(nbrs[v - 1] - chosen) for v in chosen}
+    blocked = [v for v in chosen if t[v] <= outside[v]]
+    while blocked:
+        v = blocked.pop()
+        chosen.discard(v)
+        for u in nbrs[v - 1]:
+            if u in chosen:
+                outside[u] += 1
+                if outside[u] == t[u]:
+                    blocked.append(u)
+    if not chosen:
+        return instance, ()
 
-    survivors = sorted(alive)
+    survivors = [v for v in graph.vertices() if v not in chosen]
     rank = {v: i + 1 for i, v in enumerate(survivors)}
     edges = [
         (rank[u], rank[v])
         for u, v in graph.edges
-        if u in alive and v in alive
+        if u not in chosen and v not in chosen
     ]
     reduced = Instance(
         Graph(len(survivors), edges),
-        [instance.threshold(v) for v in survivors],
+        [t[v] for v in survivors],
     )
-    return reduced, tuple(log)
+    return reduced, tuple(sorted(chosen))
 
 
 def _bfs_distances(graph: Graph, source: int) -> dict[int, int]:
     dist = {source: 0}
-    queue = [source]
+    queue = deque([source])
     while queue:
-        v = queue.pop(0)
-        for u in sorted(graph.neighbors[v - 1]):
+        v = queue.popleft()
+        for u in graph.neighbors[v - 1]:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -123,17 +114,30 @@ def _diameter_scan(
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None, int]:
     """First ascending source with eccentricity >= 6k decides the rule.
 
-    Returns (witness, path, largest eccentricity examined); witness and
-    path are None when the rule does not apply.
+    A component is skipped once a BFS from one of its sources s shows
+    that none of them can fire: it has at most 6k vertices, or
+    ecc(s) < 3k, since every eccentricity in a component is at most its
+    diameter, which is at most 2 ecc(s).  A small or shallow component
+    thus costs one BFS instead of one per vertex.
+
+    Returns (witness, path, largest eccentricity computed); witness and
+    path are None when the rule does not apply.  The third value is a
+    lower bound on the diameter, not the diameter itself, because the
+    skipped sources are never searched.
     """
     graph = instance.graph
     red = color_vertices(instance)
     diameter_seen = 0
+    quiet: set[int] = set()
     for source in graph.vertices():
+        if source in quiet:
+            continue
         dist = _bfs_distances(graph, source)
         ecc = max(dist.values())
         diameter_seen = max(diameter_seen, ecc)
         if ecc < 6 * k:
+            if len(dist) <= 6 * k or 2 * ecc < 6 * k:
+                quiet.update(dist)
             continue
         target = min(v for v, d in dist.items() if d == 6 * k)
         path = [target]
@@ -189,7 +193,8 @@ def solve_planar(
         raise ValueError(f"k must be at least 1, got {k}")
     clamped = clamp_thresholds(instance, k)
     reduced, deleted = apply_reduction1(clamped)
-    survivors = [v for v in instance.graph.vertices() if v not in set(deleted)]
+    gone = set(deleted)
+    survivors = [v for v in instance.graph.vertices() if v not in gone]
     stats = {"deleted": len(deleted)}
 
     def to_original(vertices) -> tuple[int, ...]:

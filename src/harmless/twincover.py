@@ -55,9 +55,16 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
 
     Edges not joining true twins must be covered like a vertex cover, so
     the search branches on the endpoints of the first uncovered such
-    edge, trying k = 0, 1, 2, ... in turn.
+    edge, trying budgets k in increasing order.  A greedy maximal
+    matching on those edges needs one cover vertex per matched edge, so
+    the budgets start at the matching size, and a matching larger than
+    k_max answers None without branching.
     """
     hard = [e for e in graph.edges if not _true_twins(graph, *e)]
+    matched: set[int] = set()
+    for u, v in hard:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
 
     def branch(chosen: set, budget: int) -> tuple[int, ...] | None:
         for u, v in hard:
@@ -73,7 +80,7 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
                 return None
         return tuple(sorted(chosen))
 
-    for k in range(k_max + 1):
+    for k in range(len(matched) // 2, k_max + 1):
         found = branch(set(), k)
         if found is not None:
             return found
