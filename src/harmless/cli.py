@@ -10,6 +10,7 @@ key=value pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cliquewidth import parse_cexpr, solve_cliquewidth
@@ -57,6 +58,7 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="harmless", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

@@ -234,15 +234,14 @@ def _dp_tables(
     s = t(v) whether or not it is selected; "selected" reproduces the
     unsound variant where outsiders never track their threshold, kept
     only so tests can demonstrate the divergence.
+
+    Pruning drops keys with a finite surplus <= 0.  Only an eta can
+    lower a surplus: a leaf's is t >= 1, and union and rho take minima
+    of child surpluses that pruning already kept positive.  So the test
+    runs in the eta branch alone, on the two coordinates it changed.
     """
     c = expression.labels
     tables: dict[int, dict] = {}
-
-    def keep(table: dict, key, prov):
-        if prune and any(x <= 0 for x in key[1] if x != INF):
-            return
-        if key not in table:
-            table[key] = prov
 
     def walk(node: CExpr) -> dict:
         table: dict = {}
@@ -255,9 +254,9 @@ def _dp_tables(
             out_s = tuple(s) if surplus_scope == "all" else tuple(
                 INF if i == li else s[i] for i in range(c)
             )
-            keep(table, (tuple(r), out_s), False)
+            table.setdefault((tuple(r), out_s), False)
             r[li] = 1
-            keep(table, (tuple(r), tuple(s)), True)
+            table.setdefault((tuple(r), tuple(s)), True)
         elif isinstance(node, Union):
             left = walk(node.left)
             right = walk(node.right)
@@ -268,7 +267,7 @@ def _dp_tables(
                     r = tuple(a + b for a, b in zip(r1, r2))
                     s = tuple(min(a, b) for a, b in zip(s1, s2))
                     assert all(x <= a and x <= b for x, a, b in zip(s, s1, s2))
-                    keep(table, (r, s), (k1, k2))
+                    table.setdefault((r, s), (k1, k2))
         elif isinstance(node, Eta):
             child = walk(node.child)
             ii, jj = node.i - 1, node.j - 1
@@ -281,7 +280,9 @@ def _dp_tables(
                     ns[jj] -= r[ii]
                 # surplus never increases: justifies the <= 0 pruning
                 assert ns[ii] <= s[ii] and ns[jj] <= s[jj]
-                keep(table, (r, tuple(ns)), key)
+                if prune and (ns[ii] <= 0 or ns[jj] <= 0):
+                    continue
+                table.setdefault((r, tuple(ns)), key)
         else:
             child = walk(node.child)
             ii, jj = node.i - 1, node.j - 1
@@ -294,7 +295,7 @@ def _dp_tables(
                 ns[jj] = min(ns[ii], ns[jj])
                 ns[ii] = INF
                 assert ns[jj] <= s[ii] and ns[jj] <= s[jj]
-                keep(table, (tuple(nr), tuple(ns)), key)
+                table.setdefault((tuple(nr), tuple(ns)), key)
         tables[id(node)] = table
         stats["max_keys"] = max(stats.get("max_keys", 0), len(table))
         return table
@@ -326,7 +327,7 @@ def solve_cliquewidth(
     """
     if surplus_scope not in ("all", "selected"):
         raise ValueError(f"unknown surplus scope {surplus_scope!r}")
-    labels, edges = eval_cexpr(expression)
+    labels, edges, offender = _build(expression)
     graph = instance.graph
     try:
         ids = {name: int(name) for name in labels}
@@ -340,8 +341,7 @@ def solve_cliquewidth(
     built = {tuple(sorted((ids[a], ids[b]))) for a, b in edges}
     if built != set(graph.edges):
         raise ValueError("expression does not build the instance graph")
-    ok, offender = check_irredundant(expression)
-    if not ok:
+    if offender is not None:
         raise RedundantExpressionError(
             f"eta {offender.i} {offender.j} re-adds an existing edge: "
             f"{serialize_cexpr(CExpression(expression.labels, offender))}",

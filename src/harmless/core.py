@@ -25,11 +25,10 @@ class Graph:
     """Undirected simple graph on vertices 1..n.
 
     Edges are stored both as sorted pairs and as per-vertex neighbour
-    bitmasks (bit v-1 set for vertex v); the masks keep the solvers'
-    inner loops cheap.
+    frozensets.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "masks")
+    __slots__ = ("n", "edges", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -50,14 +49,10 @@ class Graph:
         self.n = n
         self.edges = tuple(canonical)
         nbrs = [set() for _ in range(n)]
-        masks = [0] * n
         for u, v in canonical:
             nbrs[u - 1].add(v)
             nbrs[v - 1].add(u)
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
         self.neighbors = tuple(frozenset(s) for s in nbrs)
-        self.masks = tuple(masks)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v - 1])
@@ -146,13 +141,9 @@ def is_harmless(instance: Instance, vertices: Iterable[int]) -> bool:
 def slack(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:
     """Per-vertex slack t(v) - |N(v) & S|; the set is harmless iff all > 0."""
     graph = instance.graph
-    s = as_vertex_set(vertices, graph.n)
-    smask = 0
-    for v in s:
-        smask |= 1 << (v - 1)
+    s = set(as_vertex_set(vertices, graph.n))
     return tuple(
-        instance.thresholds[i] - (graph.masks[i] & smask).bit_count()
-        for i in range(graph.n)
+        t - len(nbrs & s) for t, nbrs in zip(instance.thresholds, graph.neighbors)
     )
 
 

@@ -35,45 +35,37 @@ class TypePartition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class NdGuess:
-    """Clique classes guessed to hold at least alpha(C) solution vertices."""
-
-    saturating: frozenset
-
-
 def are_twins(graph: Graph, u: int, v: int) -> bool:
-    """N(u) \\ {v} equals N(v) \\ {u}."""
-    mu = graph.masks[u - 1] & ~(1 << (v - 1))
-    mv = graph.masks[v - 1] & ~(1 << (u - 1))
-    return mu == mv
+    """N(u) \\ {v} equals N(v) \\ {u}; twins have equal degree, so that
+    is compared first."""
+    nu, nv = graph.neighbors[u - 1], graph.neighbors[v - 1]
+    return len(nu) == len(nv) and nu - {v} == nv - {u}
 
 
 def nd_partition(graph: Graph) -> TypePartition:
     """Group vertices into twin classes and build the type graph.
 
-    Non-adjacent twins share their open neighbourhood mask and adjacent
-    twins their closed one, and no vertex has both kinds of twin (a
-    false twin a and a true twin b of v would give b in N(a), hence a in
-    N[b] = N[v], making a adjacent to v).  So one dictionary per mask
-    kind finds every class: a vertex belongs to its open bucket when
-    that holds two or more vertices, else to its closed bucket.  Classes
-    are ordered by smallest member; the type graph comes from one pass
-    over the edges, since adjacency between two twin classes is all or
-    nothing.
+    Non-adjacent twins share their open neighbourhood N(v) and adjacent
+    twins their closed one N(v) | {v}, and no vertex has both kinds of
+    twin (a false twin a and a true twin b of v would give b in N(a),
+    hence a in N[b] = N[v], making a adjacent to v).  So one dictionary
+    keyed by each neighbourhood kind finds every class: a vertex belongs
+    to its open bucket when that holds two or more vertices, else to its
+    closed bucket.  Classes are ordered by smallest member; the type
+    graph comes from one pass over the edges, since adjacency between
+    two twin classes is all or nothing.
     """
-    masks = graph.masks
-    by_open: dict[int, list[int]] = {}
-    by_closed: dict[int, list[int]] = {}
-    for v in graph.vertices():
-        by_open.setdefault(masks[v - 1], []).append(v)
-        by_closed.setdefault(masks[v - 1] | 1 << (v - 1), []).append(v)
+    by_open: dict[frozenset, list[int]] = {}
+    by_closed: dict[frozenset, list[int]] = {}
+    for v, nbrs in enumerate(graph.neighbors, start=1):
+        by_open.setdefault(nbrs, []).append(v)
+        by_closed.setdefault(nbrs | {v}, []).append(v)
     classes: list[list[int]] = []
     index = [0] * (graph.n + 1)
-    for v in graph.vertices():
-        cls = by_open[masks[v - 1]]
+    for v, nbrs in enumerate(graph.neighbors, start=1):
+        cls = by_open[nbrs]
         if len(cls) < 2:
-            cls = by_closed[masks[v - 1] | 1 << (v - 1)]
+            cls = by_closed[nbrs | {v}]
         if cls[0] == v:
             index[v] = len(classes)
             classes.append(cls)
@@ -106,13 +98,14 @@ def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple
 
 
 def build_nd_ilp(
-    instance: Instance, partition: TypePartition, guess: NdGuess
+    instance: Instance, partition: TypePartition, saturating: frozenset
 ) -> IlpModel:
     """One variable per class (how many members enter S), constraints per
     class on the neighbours its members see, plus bounds tying each
-    clique class to its guessed side.
+    clique class to its guessed side: the classes in `saturating` hold
+    at least alpha(C) solution vertices, the other clique classes fewer.
     """
-    for i in guess.saturating:
+    for i in saturating:
         if partition.kinds[i] != "clique":
             raise ValueError(f"class {i} in guess is not a clique class")
     w = partition.width
@@ -127,7 +120,7 @@ def build_nd_ilp(
             coeffs[j] = 1
         if partition.kinds[i] == "clique":
             coeffs[i] = 1
-            if i in guess.saturating:
+            if i in saturating:
                 # members of S see x_i - 1 inside the class
                 constraints.append(IlpConstraint(tuple(coeffs), t))
                 bound = [0] * w
@@ -164,21 +157,17 @@ def solve_nd(instance: Instance) -> SolveResult:
         i for i in range(partition.width) if partition.kinds[i] == "clique"
     ]
     stats: dict = {"classes": partition.width, "guesses": 0}
-    best: tuple[int, tuple[int, ...], NdGuess] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     for bits in range(1 << len(clique_classes)):
-        guess = NdGuess(
-            frozenset(
-                clique_classes[j]
-                for j in range(len(clique_classes))
-                if bits >> j & 1
-            )
+        saturating = frozenset(
+            clique_classes[j] for j in range(len(clique_classes)) if bits >> j & 1
         )
         stats["guesses"] += 1
-        solution = maximize(build_nd_ilp(instance, partition, guess), stats)
+        solution = maximize(build_nd_ilp(instance, partition, saturating), stats)
         if solution is None:
             continue
         if best is None or solution.value > best[0]:
-            best = (solution.value, solution.assignment, guess)
+            best = (solution.value, solution.assignment)
     if best is None:
         raise ReconstructionError("no feasible guess; the empty set was lost")
     witness = _select_members(instance, partition, best[1])

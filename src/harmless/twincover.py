@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
 from .ilp import IlpConstraint, IlpModel, IlpVariable, maximize
-from .nd import class_threshold_stats
+from .nd import are_twins, class_threshold_stats
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,11 @@ class TwinDecomposition:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _true_twins(graph: Graph, u: int, v: int) -> bool:
-    return graph.masks[u - 1] | (1 << (u - 1)) == graph.masks[v - 1] | (1 << (v - 1))
-
-
 def is_twin_cover(graph: Graph, vertices) -> bool:
-    """Every edge is covered or joins true twins."""
+    """Every edge is covered or joins true twins (for an edge uv,
+    N[u] = N[v] exactly when u and v are twins)."""
     xs = set(vertices)
-    return all(
-        u in xs or v in xs or _true_twins(graph, u, v) for u, v in graph.edges
-    )
+    return all(u in xs or v in xs or are_twins(graph, u, v) for u, v in graph.edges)
 
 
 def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
@@ -60,7 +55,7 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
     the budgets start at the matching size, and a matching larger than
     k_max answers None without branching.
     """
-    hard = [e for e in graph.edges if not _true_twins(graph, *e)]
+    hard = [e for e in graph.edges if not are_twins(graph, *e)]
     matched: set[int] = set()
     for u, v in hard:
         if u not in matched and v not in matched:
@@ -90,14 +85,14 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
 def decompose(
     instance: Instance, cover, s_x
 ) -> TwinDecomposition | None:
-    """Cliques of G - X with caps for this S_X; None for a dead guess."""
+    """Cliques of G - X with caps for this S_X; None for a dead guess.
+
+    The caller guarantees that `cover` is a twin cover and that `s_x` is
+    a subset of it; neither is checked again here.
+    """
     graph = instance.graph
     xs = set(cover)
-    if not is_twin_cover(graph, xs):
-        raise ValueError(f"{tuple(sorted(xs))} is not a twin cover")
     sx = set(s_x)
-    if not sx <= xs:
-        raise ValueError("S_X must be a subset of the cover")
     rest = [v for v in graph.vertices() if v not in xs]
     seen: set[int] = set()
     cliques: list[tuple[int, ...]] = []

@@ -1,5 +1,7 @@
 """Command line front end: output contract and exit codes."""
 
+import argparse
+
 import pytest
 
 from harmless import (
@@ -217,6 +219,20 @@ def test_reconstruction_error_exits_three(p3_file, capsys, monkeypatch):
     code, lines, err = run(capsys, "solve", p3_file, "--algo", "brute")
     assert code == 3 and lines == []
     assert err == "error: internal: witness reconstruction lost the optimum\n"
+
+
+def test_parser_is_built_once(p3_file, capsys, monkeypatch):
+    run(capsys, "solve", p3_file)
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "add_argument",
+        lambda self, *a, **kw: calls.append(a) or add_argument(self, *a, **kw),
+    )
+    code, lines, _ = run(capsys, "solve", p3_file, "--algo", "brute")
+    assert code == 0 and lines == ["SIZE 1", "SET 1", "SOLVER brute"]
+    assert calls == []
 
 
 def test_missing_file(capsys):

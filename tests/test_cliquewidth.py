@@ -1,9 +1,11 @@
 """C-expression parsing, evaluation, and the surplus dynamic program."""
 
+import hashlib
 import random
 
 import pytest
 
+import harmless.cliquewidth as cliquewidth
 from harmless import (
     CExpression,
     Eta,
@@ -160,3 +162,47 @@ def test_stats_and_pruning():
     free = solve_cliquewidth(inst, expr, prune=False)
     assert pruned.size == free.size
     assert pruned.stats["max_keys"] <= free.stats["max_keys"]
+
+
+# per solver form, sha256 of repr([(size, witness, sorted(stats.items())),
+# ...]) over pinned_cases(); the tables behind them must not move when
+# the walk or the pruning is restructured
+DP_DIGESTS = {
+    "default": ({}, "bcf31dc84bc5d1c3abbcd339361bcfd5870ebb643047e482198f96c827c73ecd"),
+    "no_prune": (
+        {"prune": False},
+        "eda96c448a8d47a606b78f988975c93a63f51512a64679562d7fd60c304c3fae",
+    ),
+    "selected": (
+        {"surplus_scope": "selected"},
+        "654bfb9d18268c4ac4c02067e4cf19cb7abbb7c2b6577a3cfbb92229a8f509f9",
+    ),
+}
+
+
+def pinned_cases():
+    rng = random.Random(77)
+    for expr, graph in expression_corpus(rng):
+        for _ in range(2):
+            thr = [rng.randint(1, graph.degree(v) + 1) for v in graph.vertices()]
+            yield expr, Instance(graph, thr)
+
+
+def test_dp_results_pinned():
+    rows = {form: [] for form in DP_DIGESTS}
+    for expr, inst in pinned_cases():
+        for form, (kwargs, _) in DP_DIGESTS.items():
+            res = solve_cliquewidth(inst, expr, **kwargs)
+            rows[form].append((res.size, res.witness, sorted(res.stats.items())))
+    for form, (_, digest) in DP_DIGESTS.items():
+        assert len(rows[form]) == 92
+        assert hashlib.sha256(repr(rows[form]).encode()).hexdigest() == digest, form
+
+
+def test_solver_walks_the_expression_once(monkeypatch):
+    calls = []
+    build = cliquewidth._build
+    monkeypatch.setattr(cliquewidth, "_build", lambda e: calls.append(e) or build(e))
+    expr, graph = path_expr(6)
+    assert solve_cliquewidth(Instance(graph, (2,) * 6), expr).size == 4
+    assert calls == [expr]

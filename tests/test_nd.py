@@ -6,7 +6,7 @@ import random
 import pytest
 
 from harmless import Graph, Instance, is_harmless, max_harmless_bruteforce, nd_partition, solve_nd
-from harmless.nd import NdGuess, _select_members, are_twins, build_nd_ilp, class_threshold_stats
+from harmless.nd import _select_members, are_twins, build_nd_ilp, class_threshold_stats
 from harmless.ilp import maximize
 
 from families import random_instance
@@ -70,9 +70,9 @@ def test_single_clique_class_guesses():
     inst = Instance(k4, (2, 3, 3, 3))
     part = nd_partition(k4)
     assert part.kinds == ("clique",)
-    sat = maximize(build_nd_ilp(inst, part, NdGuess(frozenset({0}))))
+    sat = maximize(build_nd_ilp(inst, part, frozenset({0})))
     assert sat is not None and sat.value == 2
-    lo = maximize(build_nd_ilp(inst, part, NdGuess(frozenset())))
+    lo = maximize(build_nd_ilp(inst, part, frozenset()))
     assert lo is not None and lo.value == 0  # below alpha means x <= alpha-1 = 0
     assert solve_nd(inst).size == 2
 
@@ -81,14 +81,14 @@ def test_guess_alpha_one_forces_zero():
     k3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
     inst = Instance(k3, (1, 2, 2))
     part = nd_partition(k3)
-    low = maximize(build_nd_ilp(inst, part, NdGuess(frozenset())))
+    low = maximize(build_nd_ilp(inst, part, frozenset()))
     assert low is not None and low.value == 0
 
 
 def test_guess_rejects_independent_class():
     part = nd_partition(Graph(2, []))
     with pytest.raises(ValueError):
-        build_nd_ilp(Instance(Graph(2, []), (1, 1)), part, NdGuess(frozenset({0})))
+        build_nd_ilp(Instance(Graph(2, []), (1, 1)), part, frozenset({0}))
 
 
 def test_feasible_points_reconstruct_harmless():
@@ -103,9 +103,7 @@ def test_feasible_points_reconstruct_harmless():
         tried += 1
         clique_classes = [i for i in range(part.width) if part.kinds[i] == "clique"]
         for bits in range(1 << len(clique_classes)):
-            guess = NdGuess(
-                frozenset(c for j, c in enumerate(clique_classes) if bits >> j & 1)
-            )
+            guess = frozenset(c for j, c in enumerate(clique_classes) if bits >> j & 1)
             model = build_nd_ilp(inst, part, guess)
             ranges = [range(v.lower, v.upper + 1) for v in model.variables]
             for point in itertools.product(*ranges):

@@ -4,8 +4,10 @@
 `find_twin_cover` were rewritten to run in near-linear time with the
 same outputs.  The straightforward versions they replaced are kept here
 as references, and Hypothesis compares the two on random graphs, twin
-blow-ups, disjoint unions, isolated vertices and paths.  Work tests
-count calls instead of timing them.
+blow-ups, disjoint unions, isolated vertices and paths.  The references
+test twinhood straight from its definition, so they share no code with
+the package's `are_twins`, which is checked against that definition
+too, as is `slack`.  Work tests count calls instead of timing them.
 """
 
 import random
@@ -16,9 +18,8 @@ import harmless.nd as nd
 import harmless.planar as planar
 from harmless import Graph, Instance, apply_reduction1, find_twin_cover, nd_partition
 from harmless.planar import _diameter_scan, color_vertices
-from harmless.core import is_harmless
+from harmless.core import is_harmless, slack
 from harmless.nd import are_twins
-from harmless.twincover import _true_twins
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -26,11 +27,20 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 # -- reference copies -------------------------------------------------------
 
 
+def reference_twins(graph, u, v):
+    """Every third vertex w sees both u and v or neither."""
+    return all(
+        graph.has_edge(u, w) == graph.has_edge(v, w)
+        for w in graph.vertices()
+        if w not in (u, v)
+    )
+
+
 def reference_nd_partition(graph):
     classes = []
     for v in graph.vertices():
         for cls in classes:
-            if are_twins(graph, cls[0], v):
+            if reference_twins(graph, cls[0], v):
                 cls.append(v)
                 break
         else:
@@ -127,7 +137,7 @@ def reference_reduction1(instance):
 
 
 def reference_twin_cover(graph, k_max):
-    hard = [e for e in graph.edges if not _true_twins(graph, *e)]
+    hard = [e for e in graph.edges if not reference_twins(graph, *e)]
 
     def branch(chosen, budget):
         for u, v in hard:
@@ -225,6 +235,30 @@ def with_thresholds(draw, graphs, t_hi):
 
 
 # -- equivalence with the references ----------------------------------------
+
+
+@PROPERTY
+@given(structured_graphs, st.data())
+def test_are_twins_matches_definition(graph, data):
+    if graph.n < 2:
+        return
+    for _ in range(2):
+        u = data.draw(st.integers(1, graph.n))
+        for v in graph.vertices():
+            if v != u:
+                assert are_twins(graph, u, v) == reference_twins(graph, u, v), (u, v)
+
+
+@PROPERTY
+@given(with_thresholds(structured_graphs, 4), st.data())
+def test_slack_matches_count(inst, data):
+    graph = inst.graph
+    chosen = data.draw(st.sets(st.integers(1, graph.n))) if graph.n else set()
+    want = tuple(
+        inst.threshold(v) - sum(1 for u in chosen if graph.has_edge(v, u))
+        for v in graph.vertices()
+    )
+    assert slack(inst, chosen) == want
 
 
 @PROPERTY

@@ -71,14 +71,6 @@ def test_decompose_dead_guess():
     assert decompose(inst, (4, 5), ()) is not None
 
 
-def test_decompose_validation():
-    inst = Instance(P3, (1, 2, 1))
-    with pytest.raises(ValueError):
-        decompose(inst, (), ())
-    with pytest.raises(ValueError):
-        decompose(inst, (2,), (1,))
-
-
 def test_known_answers():
     assert solve_twincover(Instance(K4, (3, 3, 3, 3)), ()).size == 2
     assert solve_twincover(Instance(P3, (1, 2, 1)), (2,)).size == 1
