@@ -173,7 +173,8 @@ def _build(
     expression: CExpression,
 ) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None]:
     """Labels and edges of the built graph, plus the first eta in
-    post-order that re-adds an edge its child already has."""
+    post-order that re-adds an edge its child already has.  Raises
+    ValueError when two leaves share a vertex name."""
     offender: Eta | None = None
 
     def walk(node: CExpr) -> tuple[dict[str, int], set[tuple[str, str]]]:
@@ -183,7 +184,12 @@ def _build(
         if isinstance(node, Union):
             ll, le = walk(node.left)
             rl, re_ = walk(node.right)
+            size = len(ll) + len(rl)
             ll.update(rl)
+            if len(ll) < size:  # a name on both sides; look it up only now
+                left = walk(node.left)[0]
+                name = next(v for v in rl if v in left)
+                raise ValueError(f"duplicate vertex name {name!r}")
             return ll, le | re_
         labels, edges = walk(node.child)
         if isinstance(node, Eta):

@@ -9,6 +9,7 @@ plain-text instance format shared by the solvers and the CLI.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -147,6 +148,20 @@ def slack(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:
     )
 
 
+def bfs_distances(graph: Graph, source: int, removed=frozenset()) -> dict[int, int]:
+    """Hop distance from `source` (not in `removed`) to all it reaches in G - removed."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for u in graph.neighbors[v - 1]:
+            if u not in dist and u not in removed:
+                dist[u] = d
+                queue.append(u)
+    return dist
+
+
 def majority_thresholds(graph: Graph) -> Instance:
     """Thresholds t(v) = max(1, ceil(d(v)/2)) for every vertex."""
     return Instance(graph, [max(1, (graph.degree(v) + 1) // 2) for v in graph.vertices()])
@@ -181,6 +196,16 @@ def validate(instance: Instance, strict: bool = False) -> list[str]:
     return problems
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for every line that is neither blank
+    nor a `#` comment; the text formats read their lines through this."""
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and line[0] != "#"
+    ]
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance format.
 
@@ -194,10 +219,7 @@ def parse_instance(text: str) -> Instance:
     majority = False
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if header is None:
             if fields[0] != "p":

@@ -2,8 +2,9 @@
 
 Models are maximisation problems over bounded integer variables with
 `sum(a_i * x_i) <= b` constraints.  The solver is a depth-first search
-over variable assignments with interval propagation; it is built for the
-tiny models the structural solvers emit (a handful of variables with
+over variable assignments, pruned by the least activity each constraint
+can still gain from the unassigned variables; it is built for the tiny
+models the structural solvers emit (a handful of variables with
 single-digit bounds), not for general-purpose optimisation.
 """
 
@@ -62,62 +63,55 @@ def maximize(model: IlpModel, stats: dict | None = None) -> IlpSolution | None:
 
     Variables are assigned in declaration order, values from the upper
     bound downward, so among equal-objective optima the search reports
-    the lexicographically greatest assignment.  Pruning: a constraint
-    whose minimum achievable activity already exceeds its bound kills
-    the branch, as does an objective upper bound that cannot beat the
-    incumbent.
+    the lexicographically greatest assignment.  Two suffix bounds prune
+    a branch: a constraint whose assigned activity plus the minimum
+    activity of the unassigned variables already exceeds its bound, and
+    an objective that cannot beat the incumbent even with every
+    unassigned variable at its most profitable bound.
     """
     nvars = len(model.variables)
     lows = [v.lower for v in model.variables]
     highs = [v.upper for v in model.variables]
     obj = model.objective
+    constraints = model.constraints
 
-    # per-constraint minimum activity of the still-unassigned suffix
-    def suffix_tables():
-        min_act = []  # [constraint][position] = min activity of vars position..end
-        for con in model.constraints:
-            row = [0] * (nvars + 1)
-            for i in range(nvars - 1, -1, -1):
-                a = con.coeffs[i]
-                row[i] = row[i + 1] + min(a * lows[i], a * highs[i])
-            min_act.append(row)
-        obj_max = [0] * (nvars + 1)
-        for i in range(nvars - 1, -1, -1):
-            c = obj[i]
-            obj_max[i] = obj_max[i + 1] + max(c * lows[i], c * highs[i])
-        return min_act, obj_max
+    # suffix bounds over variables i..end: min_act[c][i] is the least
+    # activity of constraint c, obj_max[i] the largest objective
+    min_act = [[0] * (nvars + 1) for _ in constraints]
+    obj_max = [0] * (nvars + 1)
+    for i in range(nvars - 1, -1, -1):
+        lo, hi = lows[i], highs[i]
+        obj_max[i] = obj_max[i + 1] + max(obj[i] * lo, obj[i] * hi)
+        for row, con in zip(min_act, constraints):
+            a = con.coeffs[i]
+            row[i] = row[i + 1] + min(a * lo, a * hi)
 
-    min_act, obj_max = suffix_tables()
-    best: list[IlpSolution | None] = [None]
-    nodes = [0]
+    best: IlpSolution | None = None
+    nodes = 0
     assigned = [0] * nvars
-    acts = [0] * len(model.constraints)  # activity of assigned prefix
-
-    def feasible_prefix(pos: int) -> bool:
-        for ci, con in enumerate(model.constraints):
-            if acts[ci] + min_act[ci][pos] > con.bound:
-                return False
-        return True
+    acts = [0] * len(constraints)  # activity of the assigned prefix
 
     def dfs(pos: int, value: int):
-        nodes[0] += 1
-        if best[0] is not None and value + obj_max[pos] <= best[0].value:
+        nonlocal best, nodes
+        nodes += 1
+        if best is not None and value + obj_max[pos] <= best.value:
             return
-        if not feasible_prefix(pos):
-            return
+        for ci, con in enumerate(constraints):
+            if acts[ci] + min_act[ci][pos] > con.bound:
+                return
         if pos == nvars:
-            best[0] = IlpSolution(tuple(assigned), value)
+            best = IlpSolution(tuple(assigned), value)
             return
         for x in range(highs[pos], lows[pos] - 1, -1):
             assigned[pos] = x
-            for ci, con in enumerate(model.constraints):
+            for ci, con in enumerate(constraints):
                 acts[ci] += con.coeffs[pos] * x
             dfs(pos + 1, value + obj[pos] * x)
-            for ci, con in enumerate(model.constraints):
+            for ci, con in enumerate(constraints):
                 acts[ci] -= con.coeffs[pos] * x
         assigned[pos] = 0
 
     dfs(0, 0)
     if stats is not None:
-        stats["ilp_nodes"] = stats.get("ilp_nodes", 0) + nodes[0]
-    return best[0]
+        stats["ilp_nodes"] = stats.get("ilp_nodes", 0) + nodes
+    return best

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FormatError, Graph, Instance, ReconstructionError, SolveResult
+from .core import FormatError, Graph, Instance, ReconstructionError, SolveResult, content_lines
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_EDGE_LIMIT = 20
@@ -222,10 +222,7 @@ def parse_mmo(text: str) -> WeightedGraph:
     header = None
     edges: list[tuple[int, int]] = []
     weights: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if header is None:
             if len(fields) != 5 or fields[0] != "p" or fields[1] != "mmo":
@@ -262,10 +259,7 @@ def parse_mrss(text: str) -> MrssInstance:
     header = None
     target = None
     vectors: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if header is None:
             if len(fields) != 5 or fields[0] != "p" or fields[1] != "mrss":

@@ -10,13 +10,13 @@ before a yes is returned.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
     Graph,
     Instance,
     ReconstructionError,
+    bfs_distances,
     clamp_thresholds,
     is_harmless,
 )
@@ -97,18 +97,6 @@ def apply_reduction1(instance: Instance) -> tuple[Instance, tuple[int, ...]]:
     return reduced, tuple(sorted(chosen))
 
 
-def _bfs_distances(graph: Graph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors[v - 1]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 def _diameter_scan(
     instance: Instance, k: int
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None, int]:
@@ -132,7 +120,7 @@ def _diameter_scan(
     for source in graph.vertices():
         if source in quiet:
             continue
-        dist = _bfs_distances(graph, source)
+        dist = bfs_distances(graph, source)
         ecc = max(dist.values())
         diameter_seen = max(diameter_seen, ecc)
         if ecc < 6 * k:

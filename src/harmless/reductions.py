@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .core import (
     Graph,
     Instance,
+    bfs_distances,
     is_harmless,
     majority_thresholds,
     serialize_instance,
@@ -296,56 +297,26 @@ def reduce_mrss(mi: MrssInstance) -> MrssReductionOutput:
 
 
 def _audit_bipartite(graph: Graph):
-    color = {}
+    """Colour by BFS depth parity; an edge joining equal parities closes an odd cycle."""
+    parity: dict[int, int] = {}
     for start in graph.vertices():
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in graph.neighbors[v - 1]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                else:
-                    _audit(color[w] != color[v], f"odd cycle through edge ({v},{w})")
+        if start not in parity:
+            parity.update((v, d & 1) for v, d in bfs_distances(graph, start).items())
+    for v, w in graph.edges:
+        _audit(parity[v] != parity[w], f"odd cycle through edge ({v},{w})")
 
 
 def _audit_forest_height(graph: Graph, deleted: set, height: int):
     """Components left after deletion must be trees some root sees in <= height."""
-    alive = [v for v in graph.vertices() if v not in deleted]
-    seen: set[int] = set()
-    for start in alive:
+    seen = set(deleted)
+    for start in graph.vertices():
         if start in seen:
             continue
-        component = [start]
-        seen.add(start)
-        queue = [start]
-        edge_count = 0
-        while queue:
-            v = queue.pop()
-            for w in graph.neighbors[v - 1]:
-                if w in deleted:
-                    continue
-                edge_count += 1
-                if w not in seen:
-                    seen.add(w)
-                    component.append(w)
-                    queue.append(w)
+        component = bfs_distances(graph, start, deleted)
+        seen.update(component)
+        edge_count = sum(len(graph.neighbors[v - 1] - deleted) for v in component)
         _audit(edge_count == 2 * (len(component) - 1), f"component of {start} has a cycle")
-        best = None
-        for root in component:
-            depth = {root: 0}
-            queue = [root]
-            while queue:
-                v = queue.pop(0)
-                for w in graph.neighbors[v - 1]:
-                    if w not in deleted and w not in depth:
-                        depth[w] = depth[v] + 1
-                        queue.append(w)
-            ecc = max(depth.values())
-            best = ecc if best is None else min(best, ecc)
+        best = min(max(bfs_distances(graph, root, deleted).values()) for root in component)
         _audit(best <= height, f"component of {start} has height {best} > {height}")
 
 

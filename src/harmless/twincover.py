@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
+from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distances, is_harmless
 from .ilp import IlpConstraint, IlpModel, IlpVariable, maximize
 from .nd import are_twins, class_threshold_stats
 
@@ -93,33 +93,22 @@ def decompose(
     graph = instance.graph
     xs = set(cover)
     sx = set(s_x)
-    rest = [v for v in graph.vertices() if v not in xs]
-    seen: set[int] = set()
-    cliques: list[tuple[int, ...]] = []
-    for v in rest:
+    seen = set(xs)
+    cliques, x_nbrs, caps = [], [], []
+    for v in graph.vertices():
         if v in seen:
             continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in graph.neighbors[a - 1]:
-                if b not in xs and b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        seen |= comp
-        cliques.append(tuple(sorted(comp)))
-    x_nbrs = []
-    caps = []
-    for cl in cliques:
-        nx = frozenset(graph.neighbors[cl[0] - 1] & xs)
-        t, alpha = class_threshold_stats(instance, cl)
+        clique = tuple(sorted(bfs_distances(graph, v, xs)))
+        seen.update(clique)
+        nx = frozenset(graph.neighbors[v - 1] & xs)
+        t, alpha = class_threshold_stats(instance, clique)
         m = t - len(nx & sx)
         cap = m - 1 if alpha > m else m
         if cap < 0:
             return None
+        cliques.append(clique)
         x_nbrs.append(nx)
-        caps.append(min(cap, len(cl)))
+        caps.append(min(cap, len(clique)))
     groups: dict[frozenset, list[int]] = {}
     for idx, nx in enumerate(x_nbrs):
         groups.setdefault(nx, []).append(idx)

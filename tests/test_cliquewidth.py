@@ -14,6 +14,7 @@ from harmless import (
     Instance,
     Leaf,
     RedundantExpressionError,
+    Union,
     check_irredundant,
     eval_cexpr,
     is_harmless,
@@ -206,3 +207,16 @@ def test_solver_walks_the_expression_once(monkeypatch):
     expr, graph = path_expr(6)
     assert solve_cliquewidth(Instance(graph, (2,) * 6), expr).size == 4
     assert calls == [expr]
+
+
+def test_repeated_leaf_name_is_rejected():
+    # only the parser used to reject a repeated name, so a hand-built
+    # expression solved a one-vertex graph with the witness (1, 1)
+    expr = CExpression(2, Union(Leaf("1", 1), Leaf("1", 2)))
+    with pytest.raises(ValueError, match="^duplicate vertex name '1'$"):
+        solve_cliquewidth(Instance(Graph(1, []), (1,)), expr)
+    with pytest.raises(ValueError, match="^duplicate vertex name '1'$"):
+        eval_cexpr(expr)
+    deep = CExpression(3, Eta(1, 2, Union(Leaf("2", 1), Union(Leaf("1", 2), Leaf("2", 3)))))
+    with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
+        eval_cexpr(deep)

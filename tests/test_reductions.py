@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+from harmless.reductions import _audit_bipartite, _audit_forest_height
+
 from harmless import (
     Graph,
     Instance,
@@ -197,3 +199,37 @@ def test_mrss_paired_oracle_sweep():
             mrss_proof_witness(mi, out, combo)
         count += 1
     assert count > 300
+
+
+def cycle(n):
+    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(1, n)])
+
+
+def test_audit_bipartite_rejects_odd_cycle():
+    _audit_bipartite(cycle(6))
+    odd = r"^construction audit failed: odd cycle through edge \(\d,\d\)$"
+    with pytest.raises(RuntimeError, match=odd):
+        _audit_bipartite(cycle(5))
+    # an odd cycle in a later component, next to an isolated vertex
+    with pytest.raises(RuntimeError, match="odd cycle"):
+        _audit_bipartite(Graph(9, [(1, 2), (4, 5), (5, 6), (4, 6), (7, 8)]))
+
+
+def test_audit_forest_height_rejects_cycle_and_height():
+    # deleting vertex 6 leaves the path 1..5 and the triangle 7 8 9
+    g = Graph(9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (7, 9)])
+    _audit_forest_height(g, {6, 7}, 2)
+    with pytest.raises(RuntimeError, match="^construction audit failed: component of 7 has a cycle"):
+        _audit_forest_height(g, {6}, 3)
+    # a path of 9 vertices has height 4 from its middle and more from anywhere else
+    _audit_forest_height(path(9), set(), 4)
+    with pytest.raises(
+        RuntimeError, match="^construction audit failed: component of 1 has height 4 > 3$"
+    ):
+        _audit_forest_height(path(9), set(), 3)
+    with pytest.raises(RuntimeError, match="component of 2 has height 4 > 3"):
+        _audit_forest_height(Graph(10, [(i, i + 1) for i in range(2, 10)]), {1}, 3)

@@ -312,8 +312,8 @@ def test_scan_searches_on_when_the_first_source_sits_mid_path():
 
 def test_rule_miss_on_long_path_runs_one_bfs(monkeypatch):
     calls = []
-    bfs = planar._bfs_distances
-    monkeypatch.setattr(planar, "_bfs_distances", lambda g, s: calls.append(s) or bfs(g, s))
+    bfs = planar.bfs_distances
+    monkeypatch.setattr(planar, "bfs_distances", lambda g, s: calls.append(s) or bfs(g, s))
     n = 2000
     inst = Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [3] * n)
     assert _diameter_scan(inst, (n - 1) // 6 + 1) == (None, None, n - 1)
