@@ -13,6 +13,7 @@ outsiders too.  A label with no vertices carries the sentinel INF.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import FormatError, Instance, ReconstructionError, SolveResult, is_harmless
@@ -65,39 +66,26 @@ class CExpression:
     root: CExpr
 
 
+# a `;` comment runs to the end of its line; group 1 is a token
+_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return [tok for tok in _TOKEN.findall(text) if tok]
 
 
 def parse_cexpr(text: str) -> CExpression:
     """Parse `(cexpr <c> <E>)` where E is (v name label), (union E E),
     (eta i j E) or (rho i j E); `;` starts a comment."""
     tokens = _tokenize(text)
-    pos = [0]
+    pos = 0
 
     def take(expected: str | None = None) -> str:
-        if pos[0] >= len(tokens):
+        nonlocal pos
+        if pos >= len(tokens):
             raise FormatError("unexpected end of expression")
-        tok = tokens[pos[0]]
-        pos[0] += 1
+        tok = tokens[pos]
+        pos += 1
         if expected is not None and tok != expected:
             raise FormatError(f"expected {expected!r}, found {tok!r}")
         return tok
@@ -151,8 +139,8 @@ def parse_cexpr(text: str) -> CExpression:
         raise FormatError(f"label count {c} < 1")
     root = expr(c)
     take(")")
-    if pos[0] != len(tokens):
-        raise FormatError(f"trailing tokens after expression: {tokens[pos[0]]!r}")
+    if pos != len(tokens):
+        raise FormatError(f"trailing tokens after expression: {tokens[pos]!r}")
     return CExpression(c, root)
 
 
@@ -265,10 +253,10 @@ def _dp_tables(
             table.setdefault((tuple(r), tuple(s)), True)
         elif isinstance(node, Union):
             left = walk(node.left)
-            right = walk(node.right)
+            right = sorted(walk(node.right))
             for k1 in sorted(left):
                 r1, s1 = k1
-                for k2 in sorted(right):
+                for k2 in right:
                     r2, s2 = k2
                     r = tuple(a + b for a, b in zip(r1, r2))
                     s = tuple(min(a, b) for a, b in zip(s1, s2))

@@ -176,24 +176,18 @@ def clamp_thresholds(instance: Instance, k: int) -> Instance:
     )
 
 
-def validate(instance: Instance, strict: bool = False) -> list[str]:
-    """Return human-readable violations; empty means the instance is valid.
-
-    Thresholds below 1 are always rejected (the constructor enforces
-    this too).  In strict mode a threshold above the vertex degree is
-    also flagged; reduced instances legitimately break that bound, so it
-    is opt-in.
+def validate(instance: Instance) -> list[str]:
+    """Return human-readable violations of t(v) <= deg(v); empty means
+    none.  Thresholds below 1 never reach here (the constructor rejects
+    them).  Reduced instances legitimately break the degree bound, so
+    only the generators' audits ask for it.
     """
-    problems = []
-    for v in instance.graph.vertices():
-        t = instance.threshold(v)
-        if t < 1:
-            problems.append(f"vertex {v}: threshold {t} < 1")
-        elif strict and t > instance.graph.degree(v):
-            problems.append(
-                f"vertex {v}: threshold {t} exceeds degree {instance.graph.degree(v)}"
-            )
-    return problems
+    graph = instance.graph
+    return [
+        f"vertex {v}: threshold {t} exceeds degree {graph.degree(v)}"
+        for v, t in zip(graph.vertices(), instance.thresholds)
+        if t > graph.degree(v)
+    ]
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

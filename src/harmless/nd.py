@@ -100,40 +100,32 @@ def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple
 def build_nd_ilp(
     instance: Instance, partition: TypePartition, saturating: frozenset
 ) -> IlpModel:
-    """One variable per class (how many members enter S), constraints per
-    class on the neighbours its members see, plus bounds tying each
-    clique class to its guessed side: the classes in `saturating` hold
-    at least alpha(C) solution vertices, the other clique classes fewer.
+    """One variable per class (how many members enter S) and one packing
+    row per class on the neighbours its members see.  The guess only
+    bounds the clique variables: a class in `saturating` holds
+    [alpha(C), |C|] solution vertices, any other clique class
+    [0, alpha(C) - 1].
     """
     for i in saturating:
         if partition.kinds[i] != "clique":
             raise ValueError(f"class {i} in guess is not a clique class")
     w = partition.width
-    variables = tuple(
-        IlpVariable(f"x{i}", 0, len(partition.classes[i])) for i in range(w)
-    )
-    constraints: list[IlpConstraint] = []
-    for i in range(w):
-        t, alpha = class_threshold_stats(instance, partition.classes[i])
+    variables, constraints = [], []
+    for i, members in enumerate(partition.classes):
+        t, alpha = class_threshold_stats(instance, members)
         coeffs = [0] * w
         for j in partition.type_neighbors[i]:
             coeffs[j] = 1
+        lower, upper, bound = 0, len(members), t - 1
         if partition.kinds[i] == "clique":
             coeffs[i] = 1
-            if i in saturating:
-                # members of S see x_i - 1 inside the class
-                constraints.append(IlpConstraint(tuple(coeffs), t))
-                bound = [0] * w
-                bound[i] = -1
-                constraints.append(IlpConstraint(tuple(bound), -alpha))
+            if i in saturating:  # members of S see x_i - 1 inside the class
+                lower, bound = alpha, t
             else:
-                constraints.append(IlpConstraint(tuple(coeffs), t - 1))
-                bound = [0] * w
-                bound[i] = 1
-                constraints.append(IlpConstraint(tuple(bound), alpha - 1))
-        else:
-            constraints.append(IlpConstraint(tuple(coeffs), t - 1))
-    return IlpModel(variables, tuple(constraints), tuple([1] * w))
+                upper = alpha - 1
+        variables.append(IlpVariable(f"x{i}", lower, upper))
+        constraints.append(IlpConstraint(tuple(coeffs), bound))
+    return IlpModel(tuple(variables), tuple(constraints), tuple([1] * w))
 
 
 def _select_members(

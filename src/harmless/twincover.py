@@ -22,20 +22,38 @@ from .nd import are_twins, class_threshold_stats
 
 @dataclass(frozen=True)
 class TwinDecomposition:
-    """Cliques of G - X with their caps under one fixed S_X.
-
-    For clique C let m = t(C) - |N(C) & S_X|.  When more than m - 1
-    members share the minimum threshold (alpha(C) > m) even a full house
-    of m members would push one of them to its threshold, so the cap
-    drops to m - 1; otherwise it is m.  Caps are clamped to |C|; a
-    negative cap means S_X already overwhelms C and the guess dies.
-    classes groups clique indices by X-neighbourhood.
+    """Cliques of G - X, their X-neighbourhoods and (t, alpha) stats,
+    and the clique indices grouped into classes by X-neighbourhood;
+    none of these depends on the guess S_X.
     """
 
+    cover: tuple[int, ...]
     cliques: tuple[tuple[int, ...], ...]
     x_neighborhoods: tuple[frozenset, ...]
-    caps: tuple[int, ...]
+    threshold_stats: tuple[tuple[int, int], ...]
     classes: tuple[tuple[int, ...], ...]
+
+    def caps(self, s_x) -> tuple[int, ...] | None:
+        """How many members of each clique may join S under S_X; None
+        for a dead guess.
+
+        For clique C let m = t(C) - |N(C) & S_X|.  When more than m - 1
+        members share the minimum threshold (alpha(C) > m) even a full
+        house of m members would push one of them to its threshold, so
+        the cap drops to m - 1; otherwise it is m.  Caps are clamped to
+        |C|; a negative cap means S_X already overwhelms C.
+        """
+        sx = set(s_x)
+        caps = []
+        for clique, nx, (t, alpha) in zip(
+            self.cliques, self.x_neighborhoods, self.threshold_stats
+        ):
+            m = t - len(nx & sx)
+            cap = m - 1 if alpha > m else m
+            if cap < 0:
+                return None
+            caps.append(min(cap, len(clique)))
+        return tuple(caps)
 
 
 def is_twin_cover(graph: Graph, vertices) -> bool:
@@ -82,59 +100,49 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
     return None
 
 
-def decompose(
-    instance: Instance, cover, s_x
-) -> TwinDecomposition | None:
-    """Cliques of G - X with caps for this S_X; None for a dead guess.
-
-    The caller guarantees that `cover` is a twin cover and that `s_x` is
-    a subset of it; neither is checked again here.
+def decompose(instance: Instance, cover) -> TwinDecomposition:
+    """Split G - X into its cliques once per cover; the caller
+    guarantees that `cover` is a twin cover, which is not checked again.
     """
     graph = instance.graph
     xs = set(cover)
-    sx = set(s_x)
     seen = set(xs)
-    cliques, x_nbrs, caps = [], [], []
+    cliques, x_nbrs = [], []
     for v in graph.vertices():
         if v in seen:
             continue
         clique = tuple(sorted(bfs_distances(graph, v, xs)))
         seen.update(clique)
-        nx = frozenset(graph.neighbors[v - 1] & xs)
-        t, alpha = class_threshold_stats(instance, clique)
-        m = t - len(nx & sx)
-        cap = m - 1 if alpha > m else m
-        if cap < 0:
-            return None
         cliques.append(clique)
-        x_nbrs.append(nx)
-        caps.append(min(cap, len(clique)))
+        x_nbrs.append(frozenset(graph.neighbors[v - 1] & xs))
     groups: dict[frozenset, list[int]] = {}
     for idx, nx in enumerate(x_nbrs):
         groups.setdefault(nx, []).append(idx)
-    classes = tuple(tuple(groups[key]) for key in sorted(groups, key=sorted))
-    return TwinDecomposition(tuple(cliques), tuple(x_nbrs), tuple(caps), classes)
+    return TwinDecomposition(
+        tuple(sorted(xs)),
+        tuple(cliques),
+        tuple(x_nbrs),
+        tuple(class_threshold_stats(instance, clique) for clique in cliques),
+        tuple(tuple(groups[key]) for key in sorted(groups, key=sorted)),
+    )
 
 
 def build_tc_ilp(
-    instance: Instance, decomp: TwinDecomposition, cover, s_x
+    instance: Instance, decomp: TwinDecomposition, s_x, caps: tuple[int, ...]
 ) -> IlpModel:
-    """One variable per clique class; each cover vertex u constrains the
-    classes it fully sees plus its neighbours already inside S_X.
+    """One variable per clique class, bounded by its cliques' caps; each
+    cover vertex u constrains the classes it fully sees plus its
+    neighbours already inside S_X.
     """
     graph = instance.graph
     sx = set(s_x)
     nclasses = len(decomp.classes)
     variables = tuple(
-        IlpVariable(
-            f"y{i}",
-            0,
-            sum(decomp.caps[idx] for idx in decomp.classes[i]),
-        )
+        IlpVariable(f"y{i}", 0, sum(caps[idx] for idx in decomp.classes[i]))
         for i in range(nclasses)
     )
     constraints = []
-    for u in sorted(cover):
+    for u in decomp.cover:
         coeffs = [0] * nclasses
         for i in range(nclasses):
             if u in decomp.x_neighborhoods[decomp.classes[i][0]]:
@@ -147,18 +155,19 @@ def build_tc_ilp(
 
 
 def _distribute(
-    decomp: TwinDecomposition, counts: tuple[int, ...], instance: Instance
+    decomp: TwinDecomposition,
+    caps: tuple[int, ...],
+    counts: tuple[int, ...],
+    instance: Instance,
 ) -> list[int]:
     """Spread each class count over its cliques, fullest cap first."""
     chosen: list[int] = []
     for i, take in enumerate(counts):
-        order = sorted(
-            decomp.classes[i], key=lambda idx: (-decomp.caps[idx], idx)
-        )
+        order = sorted(decomp.classes[i], key=lambda idx: (-caps[idx], idx))
         for idx in order:
             if take == 0:
                 break
-            grab = min(decomp.caps[idx], take)
+            grab = min(caps[idx], take)
             members = sorted(
                 decomp.cliques[idx],
                 key=lambda v: (instance.threshold(v), v),
@@ -176,23 +185,24 @@ def solve_twincover(instance: Instance, cover) -> SolveResult:
     xs = tuple(sorted(set(cover)))
     if not is_twin_cover(graph, xs):
         raise ValueError(f"{xs} is not a twin cover")
+    decomp = decompose(instance, xs)
     stats: dict = {"cover_size": len(xs), "guesses": 0, "dead_guesses": 0}
     best: tuple[int, tuple[int, ...]] | None = None
     for bits in range(1 << len(xs)):
         s_x = tuple(xs[j] for j in range(len(xs)) if bits >> j & 1)
         stats["guesses"] += 1
-        decomp = decompose(instance, xs, s_x)
-        if decomp is None:
+        caps = decomp.caps(s_x)
+        if caps is None:
             stats["dead_guesses"] += 1
             continue
-        solution = maximize(build_tc_ilp(instance, decomp, xs, s_x), stats)
+        solution = maximize(build_tc_ilp(instance, decomp, s_x, caps), stats)
         if solution is None:
             stats["dead_guesses"] += 1
             continue
         total = len(s_x) + solution.value
         if best is None or total > best[0]:
             witness = tuple(
-                sorted(list(s_x) + _distribute(decomp, solution.assignment, instance))
+                sorted(list(s_x) + _distribute(decomp, caps, solution.assignment, instance))
             )
             best = (total, witness)
     if best is None:

@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmless.cliquewidth as cliquewidth
 from harmless import (
@@ -220,3 +221,36 @@ def test_repeated_leaf_name_is_rejected():
     deep = CExpression(3, Eta(1, 2, Union(Leaf("2", 1), Union(Leaf("1", 2), Leaf("2", 3)))))
     with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
         eval_cexpr(deep)
+
+
+def reference_tokenize(text):
+    """The character loop the tokenizer's regular expression replaced."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "();":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+# the structural characters, ASCII and Unicode whitespace, and a few others
+TOKEN_TEXT = st.text(st.sampled_from("();\n\r\t\x0b\x0c\x1c\x85\u00a0\u2028\u3000 av1-_é"))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(TOKEN_TEXT, st.text()))
+def test_tokenize_matches_reference_loop(text):
+    assert cliquewidth._tokenize(text) == reference_tokenize(text)

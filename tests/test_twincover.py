@@ -55,20 +55,21 @@ def test_decompose_caps():
     # 3-clique left over, cover vertex 4 unattached: t(C)=2, alpha=1
     g = Graph(4, [(1, 2), (1, 3), (2, 3)])
     inst = Instance(g, (2, 3, 3, 1))
-    d = decompose(inst, (4,), ())
+    d = decompose(inst, (4,))
     assert d.cliques == ((1, 2, 3),)
-    assert d.caps == (2,)
+    assert d.caps(()) == (2,)
     # alpha(C) = 3 > m = 2: tight, one seat lost
-    tight = decompose(Instance(g, (2, 2, 2, 1)), (4,), ())
-    assert tight.caps == (1,)
+    tight = decompose(Instance(g, (2, 2, 2, 1)), (4,))
+    assert tight.caps(()) == (1,)
 
 
 def test_decompose_dead_guess():
     # clique attached to two chosen cover vertices, m = 2 - 2 = 0 < alpha
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
     inst = Instance(g, (2, 2, 2, 1, 1))
-    assert decompose(inst, (4, 5), (4, 5)) is None
-    assert decompose(inst, (4, 5), ()) is not None
+    d = decompose(inst, (4, 5))
+    assert d.caps((4, 5)) is None
+    assert d.caps(()) is not None
 
 
 def test_known_answers():
