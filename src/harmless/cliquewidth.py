@@ -9,6 +9,8 @@ surplus of label i is the minimum over all i-labelled vertices v of
 t(v) minus the selected neighbours v has so far.  Every vertex tracks
 its surplus whether selected or not: the harmless condition constrains
 outsiders too.  A label with no vertices carries the sentinel INF.
+Every walk over an expression runs on an explicit stack, so its depth
+is limited by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -74,9 +76,28 @@ def _tokenize(text: str) -> list[str]:
     return [tok for tok in _TOKEN.findall(text) if tok]
 
 
+def _postorder(root: CExpr) -> list[CExpr]:
+    """Every node of the expression, children before parents and left
+    before right: the reverse of an explicit-stack walk that visits a
+    node, then its right side, then its left.  Depth costs no recursion."""
+    order = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Union):
+            todo += [node.left, node.right]
+        elif not isinstance(node, Leaf):
+            todo.append(node.child)
+    order.reverse()
+    return order
+
+
 def parse_cexpr(text: str) -> CExpression:
     """Parse `(cexpr <c> <E>)` where E is (v name label), (union E E),
-    (eta i j E) or (rho i j E); `;` starts a comment."""
+    (eta i j E) or (rho i j E); `;` starts a comment.  Tokens are read
+    left to right against a stack of the operations still open, so the
+    first bad token is reported and depth costs no recursion."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -103,58 +124,82 @@ def parse_cexpr(text: str) -> CExpression:
             raise FormatError(f"{what}: label {value} outside 1..{c}")
         return value
 
-    names: set[str] = set()
-
-    def expr(c: int) -> CExpr:
-        take("(")
-        op = take()
-        if op == "v":
-            name = take()
-            if name in "()":
-                raise FormatError("vertex name missing")
-            if name in names:
-                raise FormatError(f"duplicate vertex name {name!r}")
-            names.add(name)
-            node: CExpr = Leaf(name, label(c, "vertex label"))
-        elif op == "union":
-            left = expr(c)
-            right = expr(c)
-            node = Union(left, right)
-        elif op in ("eta", "rho"):
-            i = label(c, f"{op} first label")
-            j = label(c, f"{op} second label")
-            if i == j:
-                raise FormatError(f"{op} {i} {j}: labels must differ")
-            child = expr(c)
-            node = Eta(i, j, child) if op == "eta" else Rho(i, j, child)
-        else:
-            raise FormatError(f"unknown operation {op!r}")
-        take(")")
-        return node
-
     take("(")
     take("cexpr")
     c = integer("label count")
     if c < 1:
         raise FormatError(f"label count {c} < 1")
-    root = expr(c)
+    names: set[str] = set()
+    # operations whose closing parenthesis is still ahead, innermost
+    # last: (op, i, j, the children parsed so far)
+    open_ops: list[tuple[str, int, int, list[CExpr]]] = []
+    while True:
+        take("(")
+        op = take()
+        if op == "union":
+            open_ops.append((op, 0, 0, []))
+            continue
+        if op in ("eta", "rho"):
+            i = label(c, f"{op} first label")
+            j = label(c, f"{op} second label")
+            if i == j:
+                raise FormatError(f"{op} {i} {j}: labels must differ")
+            open_ops.append((op, i, j, []))
+            continue
+        if op != "v":
+            raise FormatError(f"unknown operation {op!r}")
+        name = take()
+        if name in "()":
+            raise FormatError("vertex name missing")
+        if name in names:
+            raise FormatError(f"duplicate vertex name {name!r}")
+        names.add(name)
+        node: CExpr = Leaf(name, label(c, "vertex label"))
+        take(")")
+        # close every operation the finished node completes
+        while open_ops:
+            op, i, j, children = open_ops[-1]
+            if op == "union" and not children:
+                children.append(node)
+                break
+            open_ops.pop()
+            if op == "union":
+                node = Union(children[0], node)
+            else:
+                node = Eta(i, j, node) if op == "eta" else Rho(i, j, node)
+            take(")")
+        else:
+            break
     take(")")
     if pos != len(tokens):
         raise FormatError(f"trailing tokens after expression: {tokens[pos]!r}")
-    return CExpression(c, root)
+    return CExpression(c, node)
 
 
 def serialize_cexpr(expression: CExpression) -> str:
-    def render(node: CExpr) -> str:
-        if isinstance(node, Leaf):
-            return f"(v {node.name} {node.label})"
-        if isinstance(node, Union):
-            return f"(union {render(node.left)} {render(node.right)})"
-        if isinstance(node, Eta):
-            return f"(eta {node.i} {node.j} {render(node.child)})"
-        return f"(rho {node.i} {node.j} {render(node.child)})"
+    out = [f"(cexpr {expression.labels} "]
+    stack: list[CExpr | str] = [")", expression.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(f"(v {item.name} {item.label})")
+        elif isinstance(item, Union):
+            out.append("(union ")
+            stack += [")", item.right, " ", item.left]
+        else:
+            out.append(f"({'eta' if isinstance(item, Eta) else 'rho'} {item.i} {item.j} ")
+            stack += [")", item.child]
+    return "".join(out)
 
-    return f"(cexpr {expression.labels} {render(expression.root)})"
+
+def _pour(buckets: dict[int, list[str]], label: int, names: list[str]) -> None:
+    """Add names to the bucket of label, extending the longer list."""
+    mine = buckets.setdefault(label, [])
+    if len(mine) < len(names):
+        buckets[label], names = names, mine
+    buckets[label].extend(names)
 
 
 def _build(
@@ -162,40 +207,51 @@ def _build(
 ) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None]:
     """Labels and edges of the built graph, plus the first eta in
     post-order that re-adds an edge its child already has.  Raises
-    ValueError when two leaves share a vertex name."""
-    offender: Eta | None = None
+    ValueError at the first union in post-order whose sides share a
+    vertex name, naming the first shared one in the right side's order.
 
-    def walk(node: CExpr) -> tuple[dict[str, int], set[tuple[str, str]]]:
-        nonlocal offender
+    Every finished subtree keeps its names (with their post-order
+    positions) and one bucket of names per label.  A union pours the
+    smaller side into the larger, an eta reads two buckets and a rho
+    pours one into another, so the walk costs O(n log n) plus the edges.
+    One edge set serves the whole walk: when names are distinct, an edge
+    an eta finds already present was added by an eta below it.
+    """
+    labels: dict[str, int] = {}
+    edges: set[tuple[str, str]] = set()
+    offender: Eta | None = None
+    done: list[tuple[dict[str, int], dict[int, list[str]]]] = []
+    for index, node in enumerate(_postorder(expression.root)):
         if isinstance(node, Leaf):
-            return {node.name: node.label}, set()
-        if isinstance(node, Union):
-            ll, le = walk(node.left)
-            rl, re_ = walk(node.right)
-            size = len(ll) + len(rl)
-            ll.update(rl)
-            if len(ll) < size:  # a name on both sides; look it up only now
-                left = walk(node.left)[0]
-                name = next(v for v in rl if v in left)
+            labels[node.name] = node.label
+            done.append(({node.name: index}, {node.label: [node.name]}))
+        elif isinstance(node, Union):
+            right, right_buckets = done.pop()
+            left, buckets = done.pop()
+            small, large = (left, right) if len(left) < len(right) else (right, left)
+            shared = [v for v in small if v in large]
+            if shared:
+                name = min(shared, key=right.__getitem__)
                 raise ValueError(f"duplicate vertex name {name!r}")
-            return ll, le | re_
-        labels, edges = walk(node.child)
-        if isinstance(node, Eta):
-            side_i = [v for v in labels if labels[v] == node.i]
-            side_j = [v for v in labels if labels[v] == node.j]
-            for a in side_i:
+            large.update(small)
+            for lab, names in right_buckets.items():
+                _pour(buckets, lab, names)
+            done.append((large, buckets))
+        elif isinstance(node, Eta):
+            buckets = done[-1][1]
+            side_j = buckets.get(node.j, ())
+            for a in buckets.get(node.i, ()):
                 for b in side_j:
                     e = (a, b) if a < b else (b, a)
                     if e in edges and offender is None:
                         offender = node
                     edges.add(e)
-            return labels, edges
-        for v, lab in labels.items():
-            if lab == node.i:
-                labels[v] = node.j
-        return labels, edges
-
-    labels, edges = walk(expression.root)
+        else:
+            buckets = done[-1][1]
+            _pour(buckets, node.j, buckets.pop(node.i, []))
+    for lab, names in done[0][1].items():
+        for v in names:
+            labels[v] = lab
     return labels, edges, offender
 
 
@@ -233,11 +289,43 @@ def _dp_tables(
     lower a surplus: a leaf's is t >= 1, and union and rho take minima
     of child surpluses that pruning already kept positive.  So the test
     runs in the eta branch alone, on the two coordinates it changed.
+
+    Dominance drops keys of dead labels.  A label is live at a node when
+    an eta above still reads the vertices holding it there.  At the root
+    no label is live; below `eta i j` labels i and j become live; below
+    `rho i j` label i is live iff j is live above; a union passes its
+    live set to both sides, and every other label keeps its state.  No
+    later step reads a dead label's count in r; it only adds into the
+    total.  So among keys with equal live counts and equal s, each node
+    keeps those with the largest dead total, every one of them on a tie,
+    and skips the step when no label is dead.  This keeps every answer
+    and witness:
+    - A dominated key meets the same partners and operations as the key
+      dominating it, and each key it produces is dominated in turn by
+      the matching product, with the same pruning fate.  At the root
+      every label is dead, so a dominated root key is smaller than a
+      key with the same s: no maximum root key has a dominated key on
+      its provenance chain.
+    - So every producer of a kept key was kept, its first producing
+      pair in sorted order is the one it had without the rule, and the
+      root still picks the same first maximum key.
     """
     c = expression.labels
+    order = _postorder(expression.root)
+    # bit k of live[id(node)] is set when label k+1 is live there
+    live = {id(expression.root): 0}
+    for node in reversed(order):  # parents before children
+        mask = live[id(node)]
+        if isinstance(node, Union):
+            live[id(node.left)] = live[id(node.right)] = mask
+        elif isinstance(node, Eta):
+            live[id(node.child)] = mask | 1 << node.i - 1 | 1 << node.j - 1
+        elif isinstance(node, Rho):
+            below = mask & ~(1 << node.i - 1)
+            live[id(node.child)] = below | (mask >> node.j - 1 & 1) << node.i - 1
+    every = (1 << c) - 1
     tables: dict[int, dict] = {}
-
-    def walk(node: CExpr) -> dict:
+    for node in order:
         table: dict = {}
         if isinstance(node, Leaf):
             t = thresholds[node.name]
@@ -252,8 +340,8 @@ def _dp_tables(
             r[li] = 1
             table.setdefault((tuple(r), tuple(s)), True)
         elif isinstance(node, Union):
-            left = walk(node.left)
-            right = sorted(walk(node.right))
+            left = tables[id(node.left)]
+            right = sorted(tables[id(node.right)])
             for k1 in sorted(left):
                 r1, s1 = k1
                 for k2 in right:
@@ -263,9 +351,8 @@ def _dp_tables(
                     assert all(x <= a and x <= b for x, a, b in zip(s, s1, s2))
                     table.setdefault((r, s), (k1, k2))
         elif isinstance(node, Eta):
-            child = walk(node.child)
             ii, jj = node.i - 1, node.j - 1
-            for key in sorted(child):
+            for key in sorted(tables[id(node.child)]):
                 r, s = key
                 ns = list(s)
                 if ns[ii] != INF:
@@ -278,9 +365,8 @@ def _dp_tables(
                     continue
                 table.setdefault((r, tuple(ns)), key)
         else:
-            child = walk(node.child)
             ii, jj = node.i - 1, node.j - 1
-            for key in sorted(child):
+            for key in sorted(tables[id(node.child)]):
                 r, s = key
                 nr = list(r)
                 nr[jj] += nr[ii]
@@ -290,22 +376,42 @@ def _dp_tables(
                 ns[ii] = INF
                 assert ns[jj] <= s[ii] and ns[jj] <= s[jj]
                 table.setdefault((tuple(nr), tuple(ns)), key)
+        mask = live[id(node)]
+        if mask != every:
+            kept = [k for k in range(c) if mask >> k & 1]
+            dead = [k for k in range(c) if not mask >> k & 1]
+            marks = []
+            top: dict = {}
+            for key in table:
+                r, s = key
+                group = (tuple([r[k] for k in kept]), s)
+                total = sum([r[k] for k in dead])
+                marks.append((key, group, total))
+                if top.get(group, -1) < total:
+                    top[group] = total
+            table = {key: table[key] for key, group, total in marks if total == top[group]}
         tables[id(node)] = table
         stats["max_keys"] = max(stats.get("max_keys", 0), len(table))
-        return table
-
-    walk(expression.root)
     return tables
 
 
-def _extract(node: CExpr, key, tables) -> list[str]:
-    prov = tables[id(node)][key]
-    if isinstance(node, Leaf):
-        return [node.name] if prov else []
-    if isinstance(node, Union):
-        k1, k2 = prov
-        return _extract(node.left, k1, tables) + _extract(node.right, k2, tables)
-    return _extract(node.child, prov, tables)
+def _extract(root: CExpr, key, tables) -> list[str]:
+    """Names of the selected leaves behind key at root, following the
+    provenance down from an explicit stack."""
+    chosen: list[str] = []
+    todo = [(root, key)]
+    while todo:
+        node, key = todo.pop()
+        prov = tables[id(node)][key]
+        if isinstance(node, Leaf):
+            if prov:
+                chosen.append(node.name)
+        elif isinstance(node, Union):
+            k1, k2 = prov
+            todo += [(node.right, k2), (node.left, k1)]
+        else:
+            todo.append((node.child, prov))
+    return chosen
 
 
 def solve_cliquewidth(

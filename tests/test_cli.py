@@ -195,20 +195,30 @@ def test_deep_brute_search_exits_two(tmp_path, capsys):
     assert err.startswith("error: recursion depth limit ")
 
 
-def test_deep_cexpr_exits_two(tmp_path, capsys):
-    # the expression for a 300-vertex path nests about 1200 levels deep
+def test_deep_cexpr_is_answered(tmp_path, capsys):
+    # the expression for a 300-vertex path nests about 1200 levels deep,
+    # past the default recursion limit; every walk over it is iterative
     text = "(eta 2 1 (union (v 2 2) (v 1 1)))"
     for k in range(3, 301):
         text = f"(rho 3 2 (rho 2 1 (eta 3 2 (union (v {k} 3) {text}))))"
     cexpr = tmp_path / "p300.cexpr"
     cexpr.write_text(f"(cexpr 3 {text})\n")
     inst = tmp_path / "p300.hs"
-    inst.write_text("p hs 300 299\nt majority\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 300)))
+    inst.write_text(
+        "p hs 300 299\n"
+        + "".join(f"t {v} 2\n" for v in range(1, 301))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, 300))
+    )
     code, lines, err = run(
         capsys, "solve", str(inst), "--algo", "cliquewidth", "--cexpr", str(cexpr)
     )
-    assert code == 2 and lines == []
-    assert err.startswith("error: recursion depth limit ")
+    # every vertex may see one selected neighbour, so at most two of any
+    # four consecutive vertices are selected
+    assert code == 0 and err == ""
+    assert lines[0] == "SIZE 150" and lines[-1] == "SOLVER cliquewidth"
+    chosen = {int(v) for v in lines[1].split()[1:]}
+    assert len(chosen) == 150
+    assert all((v - 1 in chosen) + (v + 1 in chosen) <= 1 for v in range(1, 301))
 
 
 def test_reconstruction_error_exits_three(p3_file, capsys, monkeypatch):

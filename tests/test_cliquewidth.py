@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,18 +167,26 @@ def test_stats_and_pruning():
     assert pruned.stats["max_keys"] <= free.stats["max_keys"]
 
 
-# per solver form, sha256 of repr([(size, witness, sorted(stats.items())),
-# ...]) over pinned_cases(); the tables behind them must not move when
-# the walk or the pruning is restructured
+# per solver form, sha256 of repr([(size, witness), ...]) and of
+# repr([sorted(stats.items()), ...]) over pinned_cases().  The result
+# digests must not move when the walk, the pruning or the dominance rule
+# is restructured.  The stats digests were captured again when dead-label
+# dominance made `max_keys` fall.
 DP_DIGESTS = {
-    "default": ({}, "bcf31dc84bc5d1c3abbcd339361bcfd5870ebb643047e482198f96c827c73ecd"),
+    "default": (
+        {},
+        "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
+        "0e7379d78ecdbc2cdf637fe818d084363f3cabbfe997f152678327e404a1ed21",
+    ),
     "no_prune": (
         {"prune": False},
-        "eda96c448a8d47a606b78f988975c93a63f51512a64679562d7fd60c304c3fae",
+        "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
+        "bc96c27075a1230d7aadae5db903ceb11ed71082a45fe8c82c8186f908bad5c5",
     ),
     "selected": (
         {"surplus_scope": "selected"},
-        "654bfb9d18268c4ac4c02067e4cf19cb7abbb7c2b6577a3cfbb92229a8f509f9",
+        "6ad2e3d476c24ec597a33343ffcd9b3dd77e3c95518377ddb6e18af163844888",
+        "c4090a0c705733c72a2a002fde2512f19d37e61c73251aa3173ce76cb9307570",
     ),
 }
 
@@ -190,15 +199,22 @@ def pinned_cases():
             yield expr, Instance(graph, thr)
 
 
+def sha256(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def test_dp_results_pinned():
-    rows = {form: [] for form in DP_DIGESTS}
+    results = {form: [] for form in DP_DIGESTS}
+    stats = {form: [] for form in DP_DIGESTS}
     for expr, inst in pinned_cases():
-        for form, (kwargs, _) in DP_DIGESTS.items():
+        for form, (kwargs, _, _) in DP_DIGESTS.items():
             res = solve_cliquewidth(inst, expr, **kwargs)
-            rows[form].append((res.size, res.witness, sorted(res.stats.items())))
-    for form, (_, digest) in DP_DIGESTS.items():
-        assert len(rows[form]) == 92
-        assert hashlib.sha256(repr(rows[form]).encode()).hexdigest() == digest, form
+            results[form].append((res.size, res.witness))
+            stats[form].append(sorted(res.stats.items()))
+    for form, (_, result_digest, stats_digest) in DP_DIGESTS.items():
+        assert len(results[form]) == 92
+        assert sha256(results[form]) == result_digest, form
+        assert sha256(stats[form]) == stats_digest, form
 
 
 def test_solver_walks_the_expression_once(monkeypatch):
@@ -208,6 +224,22 @@ def test_solver_walks_the_expression_once(monkeypatch):
     expr, graph = path_expr(6)
     assert solve_cliquewidth(Instance(graph, (2,) * 6), expr).size == 4
     assert calls == [expr]
+
+
+def test_deep_path_needs_no_recursion():
+    # 5000 vertices nest about 20000 levels deep, far past the default limit
+    expr, graph = path_expr(5000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = serialize_cexpr(expr)
+        parsed = parse_cexpr(text)
+        assert serialize_cexpr(parsed) == text
+        assert check_irredundant(parsed)[0]
+        result = solve_cliquewidth(Instance(graph, (2,) * 5000), parsed)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.size == 2500
 
 
 def test_repeated_leaf_name_is_rejected():
@@ -221,6 +253,11 @@ def test_repeated_leaf_name_is_rejected():
     deep = CExpression(3, Eta(1, 2, Union(Leaf("2", 1), Union(Leaf("1", 2), Leaf("2", 3)))))
     with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
         eval_cexpr(deep)
+    # two shared names: the first in the right side's leaf order is named
+    left = Union(Leaf("1", 1), Leaf("2", 1))
+    right = Union(Union(Leaf("2", 1), Leaf("1", 1)), Leaf("3", 1))
+    with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
+        eval_cexpr(CExpression(2, Union(left, right)))
 
 
 def reference_tokenize(text):
