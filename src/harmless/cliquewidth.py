@@ -207,8 +207,11 @@ def _build(
 ) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None]:
     """Labels and edges of the built graph, plus the first eta in
     post-order that re-adds an edge its child already has.  Raises
-    ValueError at the first union in post-order whose sides share a
-    vertex name, naming the first shared one in the right side's order.
+    ValueError when c < 1, and at the first node in post-order that uses
+    a label outside 1..c, relabels or joins a label to itself, or is a
+    union whose sides share a vertex name (naming the first shared one
+    in the right side's order), so a hand-built expression is held to
+    the rules the parser enforces.
 
     Every finished subtree keeps its names (with their post-order
     positions) and one bucket of names per label.  A union pours the
@@ -217,12 +220,17 @@ def _build(
     One edge set serves the whole walk: when names are distinct, an edge
     an eta finds already present was added by an eta below it.
     """
+    c = expression.labels
+    if c < 1:
+        raise ValueError(f"label count {c} < 1")
     labels: dict[str, int] = {}
     edges: set[tuple[str, str]] = set()
     offender: Eta | None = None
     done: list[tuple[dict[str, int], dict[int, list[str]]]] = []
     for index, node in enumerate(_postorder(expression.root)):
         if isinstance(node, Leaf):
+            if not 1 <= node.label <= c:
+                raise ValueError(f"vertex label: label {node.label} outside 1..{c}")
             labels[node.name] = node.label
             done.append(({node.name: index}, {node.label: [node.name]}))
         elif isinstance(node, Union):
@@ -237,6 +245,9 @@ def _build(
             for lab, names in right_buckets.items():
                 _pour(buckets, lab, names)
             done.append((large, buckets))
+        elif node.i == node.j or not (1 <= node.i <= c and 1 <= node.j <= c):
+            op = "eta" if isinstance(node, Eta) else "rho"
+            raise ValueError(f"{op} {node.i} {node.j}: labels must differ and lie in 1..{c}")
         elif isinstance(node, Eta):
             buckets = done[-1][1]
             side_j = buckets.get(node.j, ())
@@ -272,18 +283,13 @@ def check_irredundant(
 def _dp_tables(
     expression: CExpression,
     thresholds: dict[str, int],
-    surplus_scope: str,
-    prune: bool,
     stats: dict,
 ):
     """Key tables and provenance for every expression node.
 
     A key is (r, s): r[i] counts selected vertices with label i+1, s[i]
     is the least surplus among label-(i+1) vertices (INF when none).
-    With surplus_scope="all" (the sound rule) a leaf contributes
-    s = t(v) whether or not it is selected; "selected" reproduces the
-    unsound variant where outsiders never track their threshold, kept
-    only so tests can demonstrate the divergence.
+    A leaf contributes s = t(v) whether or not it is selected.
 
     Pruning drops keys with a finite surplus <= 0.  Only an eta can
     lower a surplus: a leaf's is t >= 1, and union and rho take minima
@@ -333,10 +339,7 @@ def _dp_tables(
             r = [0] * c
             s = [INF] * c
             s[li] = t
-            out_s = tuple(s) if surplus_scope == "all" else tuple(
-                INF if i == li else s[i] for i in range(c)
-            )
-            table.setdefault((tuple(r), out_s), False)
+            table.setdefault((tuple(r), tuple(s)), False)
             r[li] = 1
             table.setdefault((tuple(r), tuple(s)), True)
         elif isinstance(node, Union):
@@ -361,7 +364,7 @@ def _dp_tables(
                     ns[jj] -= r[ii]
                 # surplus never increases: justifies the <= 0 pruning
                 assert ns[ii] <= s[ii] and ns[jj] <= s[jj]
-                if prune and (ns[ii] <= 0 or ns[jj] <= 0):
+                if ns[ii] <= 0 or ns[jj] <= 0:
                     continue
                 table.setdefault((r, tuple(ns)), key)
         else:
@@ -414,19 +417,12 @@ def _extract(root: CExpr, key, tables) -> list[str]:
     return chosen
 
 
-def solve_cliquewidth(
-    instance: Instance,
-    expression: CExpression,
-    prune: bool = True,
-    surplus_scope: str = "all",
-) -> SolveResult:
+def solve_cliquewidth(instance: Instance, expression: CExpression) -> SolveResult:
     """Maximum harmless set via the surplus DP over the expression.
 
     The expression must be irredundant and must build exactly the
     instance graph (vertex names are the instance's integer ids).
     """
-    if surplus_scope not in ("all", "selected"):
-        raise ValueError(f"unknown surplus scope {surplus_scope!r}")
     labels, edges, offender = _build(expression)
     graph = instance.graph
     try:
@@ -449,24 +445,16 @@ def solve_cliquewidth(
         )
     thresholds = {name: instance.threshold(ids[name]) for name in labels}
     stats: dict = {"labels": expression.labels, "max_keys": 0}
-    tables = _dp_tables(expression, thresholds, surplus_scope, prune, stats)
+    tables = _dp_tables(expression, thresholds, stats)
     root_table = tables[id(expression.root)]
-    best_key = None
-    best_size = -1
-    for key in sorted(root_table):
-        r, s = key
-        if any(x != INF and x < 1 for x in s):
-            continue
-        size = sum(r)
-        if size > best_size:
-            best_size = size
-            best_key = key
-    if best_key is None:
+    if not root_table:
         raise ReconstructionError("DP lost the empty set at the root")
+    # pruning keeps every finite surplus >= 1 at every node, so each root
+    # key is a harmless shape; take the first largest in sorted order
+    best_key = max(sorted(root_table), key=lambda key: sum(key[0]))
+    best_size = sum(best_key[0])
     witness = tuple(sorted(ids[name] for name in _extract(expression.root, best_key, tables)))
-    if len(witness) != best_size or (
-        surplus_scope == "all" and not is_harmless(instance, witness)
-    ):
+    if len(witness) != best_size or not is_harmless(instance, witness):
         raise ReconstructionError(
             f"cliquewidth witness {witness} fails verification for size {best_size}"
         )

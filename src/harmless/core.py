@@ -34,7 +34,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
+        nbrs = [set() for _ in range(n)]
         canonical = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
@@ -42,17 +42,14 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if v in nbrs[u - 1]:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
+            nbrs[u - 1].add(v)
+            nbrs[v - 1].add(u)
             canonical.append(e)
         canonical.sort()
         self.n = n
         self.edges = tuple(canonical)
-        nbrs = [set() for _ in range(n)]
-        for u, v in canonical:
-            nbrs[u - 1].add(v)
-            nbrs[v - 1].add(u)
         self.neighbors = tuple(frozenset(s) for s in nbrs)
 
     def degree(self, v: int) -> int:

@@ -2,7 +2,7 @@
 
 Models are maximisation problems over bounded integer variables with
 `sum(a_i * x_i) <= b` constraints.  The solver is a depth-first search
-over variable assignments, pruned by the least activity each constraint
+over variable assignments, cut off by the least activity each constraint
 can still gain from the unassigned variables; it is built for the tiny
 models the structural solvers emit (a handful of variables with
 single-digit bounds), not for general-purpose optimisation.
@@ -63,7 +63,7 @@ def maximize(model: IlpModel, stats: dict | None = None) -> IlpSolution | None:
 
     Variables are assigned in declaration order, values from the upper
     bound downward, so among equal-objective optima the search reports
-    the lexicographically greatest assignment.  Two suffix bounds prune
+    the lexicographically greatest assignment.  Two suffix bounds cut off
     a branch: a constraint whose assigned activity plus the minimum
     activity of the unassigned variables already exceeds its bound, and
     an objective that cannot beat the incumbent even with every

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .core import FormatError, Graph, Instance, ReconstructionError, SolveResult, content_lines
 
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_EDGE_LIMIT = 20
-DEFAULT_VECTOR_LIMIT = 20
+EDGE_LIMIT = 20
+VECTOR_LIMIT = 20
 
 
 class OracleLimitError(RuntimeError):
@@ -152,9 +152,7 @@ def max_harmless_bruteforce(
     return SolveResult(h, tuple(chosen), "brute", {"budget": node_budget, "nodes": nodes})
 
 
-def mmo_feasible_bruteforce(
-    wg: WeightedGraph, edge_limit: int = DEFAULT_EDGE_LIMIT
-) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
+def mmo_feasible_bruteforce(wg: WeightedGraph) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
     """Is there an orientation with weighted outdegree <= r everywhere?
 
     Tries all 2^m orientations depth-first (edge list in sorted order,
@@ -162,10 +160,8 @@ def mmo_feasible_bruteforce(
     the first feasible orientation as a tuple of directed pairs.
     """
     edges = wg.graph.edges
-    if len(edges) > edge_limit:
-        raise OracleLimitError(
-            f"oracle limit: {len(edges)} edges exceeds cap {edge_limit}"
-        )
+    if len(edges) > EDGE_LIMIT:
+        raise OracleLimitError(f"oracle limit: {len(edges)} edges exceeds cap {EDGE_LIMIT}")
     out = [0] * (wg.graph.n + 1)
     oriented: list[tuple[int, int]] = []
 
@@ -189,9 +185,7 @@ def mmo_feasible_bruteforce(
     return False, None
 
 
-def mrss_feasible_bruteforce(
-    mi: MrssInstance, vector_limit: int = DEFAULT_VECTOR_LIMIT
-) -> tuple[bool, tuple[int, ...] | None]:
+def mrss_feasible_bruteforce(mi: MrssInstance) -> tuple[bool, tuple[int, ...] | None]:
     """Is there a subset of at most k' vectors with componentwise sum >= t?
 
     Enumerates subsets by increasing size, each size in lexicographic
@@ -200,9 +194,9 @@ def mrss_feasible_bruteforce(
     """
     from itertools import combinations
 
-    if len(mi.vectors) > vector_limit:
+    if len(mi.vectors) > VECTOR_LIMIT:
         raise OracleLimitError(
-            f"oracle limit: {len(mi.vectors)} vectors exceeds cap {vector_limit}"
+            f"oracle limit: {len(mi.vectors)} vectors exceeds cap {VECTOR_LIMIT}"
         )
     indices = range(1, len(mi.vectors) + 1)
     for size in range(min(mi.budget, len(mi.vectors)) + 1):

@@ -19,6 +19,8 @@ from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distanc
 from .ilp import IlpConstraint, IlpModel, IlpVariable, maximize
 from .nd import are_twins, class_threshold_stats
 
+BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
+
 
 @dataclass(frozen=True)
 class TwinDecomposition:
@@ -184,7 +186,7 @@ def solve_twincover(instance: Instance, cover) -> SolveResult:
     graph = instance.graph
     xs = tuple(sorted(set(cover)))
     if not is_twin_cover(graph, xs):
-        raise ValueError(f"{xs} is not a twin cover")
+        raise ValueError(f"{list(xs)} is not a twin cover")
     decomp = decompose(instance, xs)
     stats: dict = {"cover_size": len(xs), "guesses": 0, "dead_guesses": 0}
     best: tuple[int, tuple[int, ...]] | None = None
@@ -215,10 +217,10 @@ def solve_twincover(instance: Instance, cover) -> SolveResult:
     return SolveResult(size, witness, "twincover", stats)
 
 
-def minimum_twin_cover_bruteforce(graph: Graph, limit: int = 12) -> tuple[int, ...]:
+def minimum_twin_cover_bruteforce(graph: Graph) -> tuple[int, ...]:
     """Smallest twin cover by subset enumeration; test-scale only."""
-    if graph.n > limit:
-        raise ValueError(f"{graph.n} vertices exceeds cap {limit}")
+    if graph.n > BRUTEFORCE_COVER_LIMIT:
+        raise ValueError(f"{graph.n} vertices exceeds cap {BRUTEFORCE_COVER_LIMIT}")
     for size in range(graph.n + 1):
         for combo in combinations(graph.vertices(), size):
             if is_twin_cover(graph, combo):

@@ -1,9 +1,11 @@
 """Command line front end: output contract and exit codes."""
 
 import argparse
+import sys
 
 import pytest
 
+import harmless.twincover as twincover
 from harmless import (
     Graph,
     Instance,
@@ -70,6 +72,24 @@ def test_solve_twincover_explicit_cover(p3_file, capsys):
     assert code == 0 and lines == ["SIZE 1", "SET 1", "SOLVER twincover"]
     code, _, err = run(capsys, "solve", p3_file, "--algo", "twincover", "--cover", "3")
     assert code == 1 and "not a twin cover" in err
+
+
+def test_explicit_cover_is_checked_once(p3_file, capsys):
+    # counts calls through any binding of the function, not one name
+    code = twincover.is_twin_cover.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["vertices"])
+
+    sys.setprofile(profile)
+    try:
+        result = run(capsys, "solve", p3_file, "--algo", "twincover", "--cover", "2")
+    finally:
+        sys.setprofile(None)
+    assert result[0] == 0
+    assert calls == [(2,)]
 
 
 def test_solve_cliquewidth(p3_file, tmp_path, capsys):

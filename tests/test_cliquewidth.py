@@ -16,6 +16,7 @@ from harmless import (
     Instance,
     Leaf,
     RedundantExpressionError,
+    Rho,
     Union,
     check_irredundant,
     eval_cexpr,
@@ -26,6 +27,7 @@ from harmless import (
     solve_cliquewidth,
 )
 
+from dp_reference import reference_dp_tables, reference_solve
 from families import expression_corpus, path_expr
 
 P4_TEXT = """
@@ -114,8 +116,7 @@ def test_literal_leaf_rule_diverges():
     k2 = parse_cexpr("(cexpr 2 (eta 1 2 (union (v 1 1) (v 2 2))))")
     inst = Instance(Graph(2, [(1, 2)]), (1, 1))
     assert solve_cliquewidth(inst, k2).size == 0
-    literal = solve_cliquewidth(inst, k2, surplus_scope="selected")
-    assert literal.size == 1
+    assert reference_solve(inst, k2, "selected", True)[0] == 1
     assert not is_harmless(inst, (1,)) and not is_harmless(inst, (2,))
 
 
@@ -148,11 +149,10 @@ def test_corpus_against_oracle():
             want = max_harmless_bruteforce(inst)
             assert res.size == want.size, (serialize_cexpr(cexp), thr)
             assert is_harmless(inst, res.witness)
-            unpruned = solve_cliquewidth(inst, cexp, prune=False)
-            assert unpruned.size == res.size
-            literal = solve_cliquewidth(inst, cexp, surplus_scope="selected")
-            assert literal.size >= res.size
-            divergences += literal.size > res.size
+            assert reference_solve(inst, cexp, "all", False)[0] == res.size
+            literal = reference_solve(inst, cexp, "selected", True)[0]
+            assert literal >= res.size
+            divergences += literal > res.size
             n, c = graph.n, cexp.labels
             assert res.stats["max_keys"] <= (n + 1) ** c * (2 * n + 1) ** c
     assert divergences >= 1
@@ -162,32 +162,25 @@ def test_stats_and_pruning():
     expr, graph = path_expr(8)
     inst = Instance(graph, tuple(2 for _ in range(8)))
     pruned = solve_cliquewidth(inst, expr)
-    free = solve_cliquewidth(inst, expr, prune=False)
-    assert pruned.size == free.size
-    assert pruned.stats["max_keys"] <= free.stats["max_keys"]
+    assert reference_solve(inst, expr, "all", False)[0] == pruned.size
+    free: dict = {}
+    reference_dp_tables(expr, {str(v): 2 for v in range(1, 9)}, "all", False, free)
+    assert pruned.stats["max_keys"] <= free["max_keys"]
 
 
-# per solver form, sha256 of repr([(size, witness), ...]) and of
-# repr([sorted(stats.items()), ...]) over pinned_cases().  The result
-# digests must not move when the walk, the pruning or the dominance rule
-# is restructured.  The stats digests were captured again when dead-label
-# dominance made `max_keys` fall.
-DP_DIGESTS = {
-    "default": (
-        {},
-        "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
-        "0e7379d78ecdbc2cdf637fe818d084363f3cabbfe997f152678327e404a1ed21",
-    ),
-    "no_prune": (
-        {"prune": False},
-        "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
-        "bc96c27075a1230d7aadae5db903ceb11ed71082a45fe8c82c8186f908bad5c5",
-    ),
-    "selected": (
-        {"surplus_scope": "selected"},
-        "6ad2e3d476c24ec597a33343ffcd9b3dd77e3c95518377ddb6e18af163844888",
-        "c4090a0c705733c72a2a002fde2512f19d37e61c73251aa3173ce76cb9307570",
-    ),
+# sha256 of repr([(size, witness), ...]) over pinned_cases(), for the
+# solver and for two reference forms: without pruning, and with the
+# literal leaf rule.  The result digests must not move when the walk,
+# the pruning or the dominance rule is restructured.  The stats digest
+# of the solver was captured again when dead-label dominance made
+# `max_keys` fall.
+SOLVER_DIGESTS = (
+    "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
+    "0e7379d78ecdbc2cdf637fe818d084363f3cabbfe997f152678327e404a1ed21",
+)
+REFERENCE_DIGESTS = {
+    ("all", False): "2d87f0027030a58bb6cff046222c652b21bd8dae5eecc8ba6d0011b860bd1b75",
+    ("selected", True): "6ad2e3d476c24ec597a33343ffcd9b3dd77e3c95518377ddb6e18af163844888",
 }
 
 
@@ -204,17 +197,18 @@ def sha256(rows) -> str:
 
 
 def test_dp_results_pinned():
-    results = {form: [] for form in DP_DIGESTS}
-    stats = {form: [] for form in DP_DIGESTS}
+    results, stats = [], []
+    references = {form: [] for form in REFERENCE_DIGESTS}
     for expr, inst in pinned_cases():
-        for form, (kwargs, _, _) in DP_DIGESTS.items():
-            res = solve_cliquewidth(inst, expr, **kwargs)
-            results[form].append((res.size, res.witness))
-            stats[form].append(sorted(res.stats.items()))
-    for form, (_, result_digest, stats_digest) in DP_DIGESTS.items():
-        assert len(results[form]) == 92
-        assert sha256(results[form]) == result_digest, form
-        assert sha256(stats[form]) == stats_digest, form
+        res = solve_cliquewidth(inst, expr)
+        results.append((res.size, res.witness))
+        stats.append(sorted(res.stats.items()))
+        for form, rows in references.items():
+            rows.append(reference_solve(inst, expr, *form))
+    assert len(results) == 92
+    assert (sha256(results), sha256(stats)) == SOLVER_DIGESTS
+    for form, rows in references.items():
+        assert sha256(rows) == REFERENCE_DIGESTS[form], form
 
 
 def test_solver_walks_the_expression_once(monkeypatch):
@@ -258,6 +252,49 @@ def test_repeated_leaf_name_is_rejected():
     right = Union(Union(Leaf("2", 1), Leaf("1", 1)), Leaf("3", 1))
     with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
         eval_cexpr(CExpression(2, Union(left, right)))
+
+
+# hand-built expressions that break the parser's label rules, on the
+# edgeless 2-vertex graph; without the check, the solver answers size 0
+# on the first (the optimum is 2) and crashes with IndexError or
+# AssertionError on the others
+BAD_LABELS = {
+    "leaf-label-0": (
+        CExpression(2, Eta(2, 1, Union(Leaf("1", 0), Leaf("2", 1)))),
+        r"^vertex label: label 0 outside 1\.\.2$",
+    ),
+    "leaf-label-above-c": (
+        CExpression(2, Eta(2, 1, Union(Leaf("1", 3), Leaf("2", 1)))),
+        r"^vertex label: label 3 outside 1\.\.2$",
+    ),
+    "eta-label-above-c": (
+        CExpression(2, Eta(1, 3, Union(Leaf("1", 1), Leaf("2", 2)))),
+        r"^eta 1 3: labels must differ and lie in 1\.\.2$",
+    ),
+    "rho-to-itself": (
+        CExpression(2, Rho(1, 1, Union(Leaf("1", 1), Leaf("2", 2)))),
+        r"^rho 1 1: labels must differ and lie in 1\.\.2$",
+    ),
+    "no-labels": (
+        CExpression(0, Union(Leaf("1", 1), Leaf("2", 1))),
+        "^label count 0 < 1$",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr, message", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda e: solve_cliquewidth(Instance(Graph(2, []), (1, 1)), e),
+        eval_cexpr,
+        check_irredundant,
+    ],
+    ids=["solve", "eval", "irredundant"],
+)
+def test_hand_built_labels_are_checked(entry, expr, message):
+    with pytest.raises(ValueError, match=message):
+        entry(expr)
 
 
 def reference_tokenize(text):

@@ -40,6 +40,13 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(1, 3)])
     with pytest.raises(ValueError):
         Graph(2, [(1, 2), (2, 1)])
+    # the first offender in input order is reported, in sorted orientation
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,3\)$"):
+        Graph(3, [(3, 1), (2, 3), (1, 3)])
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+        Graph(3, [(2, 1), (1, 2), (1, 5)])
+    with pytest.raises(ValueError, match=r"^edge \(1,5\) has an endpoint outside 1\.\.3$"):
+        Graph(3, [(1, 5), (2, 1), (1, 2)])
 
 
 def test_instance_rejects_bad_thresholds():

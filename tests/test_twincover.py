@@ -48,7 +48,7 @@ def test_minimum_cover_matches_branching():
         assert got is not None and len(got) == len(want)
         assert is_twin_cover(inst.graph, got)
     with pytest.raises(ValueError):
-        minimum_twin_cover_bruteforce(Graph(13, []), limit=12)
+        minimum_twin_cover_bruteforce(Graph(13, []))
 
 
 def test_decompose_caps():
