@@ -14,7 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FormatError, Graph, Instance, ReconstructionError, SolveResult, content_lines
+from .core import (
+    FormatError,
+    Graph,
+    Instance,
+    ReconstructionError,
+    SolveResult,
+    bfs_distances,
+    content_lines,
+)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EDGE_LIMIT = 20
@@ -82,74 +90,140 @@ def max_harmless_bruteforce(
 ) -> SolveResult:
     """Maximum harmless set size plus its lexicographically least witness.
 
-    Phase one finds the maximum size h by branch and bound: vertices are
-    decided in descending id order, a branch dies as soon as some vertex
-    already has t(v) chosen neighbours (any superset stays violated), or
-    when even taking every undecided vertex cannot beat the incumbent.
-    Phase two rebuilds the lexicographically least witness of size h by
-    greedily fixing vertices in ascending order and re-running the
-    same search, with incumbent h - 1 and goal h, for each prefix.
+    Each connected component is solved on its own: the optimum is the
+    sum of the per-component optima, and the witness is the union of
+    the per-component lexicographically least witnesses.  That union is
+    the least set of its size overall, because for sets A and B of equal
+    size A < B iff min(A xor B) lies in A, and min(A xor B) lies in one
+    component, where A and B differ as two sets of that component's
+    optimum size.
+
+    Within a component, vertex w is blocked while some neighbour has
+    residual threshold (t minus chosen neighbours) at most 1; taking w
+    would break that neighbour, and residuals only fall, so a blocked
+    vertex stays blocked down the branch.  A neighbour of a threshold-1
+    vertex is blocked from the start and never searched.  A branch dies
+    when its size plus the number of undecided unblocked vertices cannot
+    beat the incumbent; that count is kept per branch and updated as
+    each take blocks vertices.
+
+    Phase one finds the optimum h by branch and bound on an explicit
+    stack, deciding vertices by degree, highest first, ties by the
+    larger id, and taking before skipping.  Phase two walks the ids
+    upwards and builds the least witness greedily, keeping a vertex
+    when the chosen prefix plus that vertex still extends to h vertices
+    among the larger ids.  It carries a size-h optimum that agrees with
+    the prefix, starting from phase one's best set: a vertex in it is
+    kept without search, and any other vertex is kept only if a search
+    of the larger ids, with incumbent h - 1 and goal h, finds a set,
+    which becomes the carried optimum.  `node_budget` caps the search
+    nodes of all components and both phases together.
     """
-    n = instance.graph.n
-    adjacency = [[u - 1 for u in nbrs] for nbrs in instance.graph.neighbors]
-    residual = list(instance.thresholds)
+    graph = instance.graph
+    n = graph.n
+    adjacency = [(), *map(tuple, graph.neighbors)]
+    residual = [0, *instance.thresholds]
+    blocked = [0] * (n + 1)
+    for u in graph.vertices():
+        if residual[u] == 1:
+            for w in adjacency[u]:
+                blocked[w] += 1
+    rank = [0] * (n + 1)  # position in its component's phase one order
     nodes = 0
-    best = 0
 
-    def search(v: int, stop: int, size: int, goal: int) -> bool:
-        # Vertices stop+1..v are undecided, the rest are fixed, and the
-        # fixed-in set is itself harmless (all residuals >= 1).  True iff
-        # it extends to goal vertices; best tracks the largest size seen.
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > node_budget:
-            raise OracleLimitError(f"oracle limit: more than {node_budget} search nodes")
-        if size == goal:
-            return True
-        if size > best:
-            best = size
-        if v == stop or size + (v - stop) <= best:
-            return False
-        nbrs = adjacency[v - 1]
-        # take v unless some neighbour is already saturated
-        for u in nbrs:
-            if residual[u] <= 1:
-                break
-        else:
-            for u in nbrs:
-                residual[u] -= 1
-            found = search(v - 1, stop, size + 1, goal)
-            for u in nbrs:
-                residual[u] += 1
-            if found:
-                return True
-        return search(v - 1, stop, size, goal)
-
-    # no set has n + 1 vertices, so phase one never stops early
-    search(n, 0, 0, n + 1)
-    h = best
-    # Greedy lexicographic reconstruction: walk ids upward, keep a
-    # candidate only when the prefix still completes to size h among the
-    # strictly larger ids.  Phase one guarantees the loop finishes.  With
-    # the incumbent at h - 1 the bound cuts every branch that cannot reach h.
-    best = h - 1
-    chosen: list[int] = []
-    for cur in range(1, n + 1):
-        if len(chosen) == h:
-            break
-        nbrs = adjacency[cur - 1]
-        if any(residual[u] <= 1 for u in nbrs):
-            continue
-        for u in nbrs:
+    def take(v: int, stop: int, r: int) -> int:
+        # Choose v; return how many unblocked vertices it blocks among
+        # the undecided ones, those with id > stop and rank > r.
+        lost = 0
+        for u in adjacency[v]:
             residual[u] -= 1
-        if search(n, cur, len(chosen) + 1, h):
+            if residual[u] == 1:
+                for w in adjacency[u]:
+                    if not blocked[w] and w > stop and rank[w] > r:
+                        lost += 1
+                    blocked[w] += 1
+        return lost
+
+    def undo(v: int) -> None:
+        for u in adjacency[v]:
+            if residual[u] == 1:
+                for w in adjacency[u]:
+                    blocked[w] -= 1
+            residual[u] += 1
+
+    def search(order: list[int], stop: int, size: int, best: int, goal: int):
+        # Decide the vertices of `order` on top of the chosen ones, which
+        # form a harmless set of `size` vertices.  Return the largest size
+        # above `best` reached (else `best`) and the vertices taken for
+        # it (else None); stop at the first set of `goal` vertices.
+        nonlocal nodes
+        taken: list[int] = []
+        found = None
+        stack: list = [(0, size, sum(1 for v in order if not blocked[v]))]
+        while stack:
+            entry = stack.pop()
+            if type(entry) is int:  # undo marker
+                undo(entry)
+                taken.pop()
+                continue
+            i, size, avail = entry
+            nodes += 1
+            if nodes > node_budget:
+                raise OracleLimitError(f"oracle limit: more than {node_budget} search nodes")
+            if size > best:
+                best, found = size, list(taken)
+                if size == goal:
+                    break
+            if size + avail <= best:
+                continue
+            # avail > 0, so an unblocked vertex is left to decide
+            while blocked[order[i]]:
+                i += 1
+            v = order[i]
+            stack.append((i + 1, size, avail - 1))
+            lost = take(v, stop, rank[v])
+            taken.append(v)
+            stack.append(v)
+            stack.append((i + 1, size + 1, avail - 1 - lost))
+        for v in reversed(taken):
+            undo(v)
+        return best, found
+
+    seen = [False] * (n + 1)
+    witness: list[int] = []
+    for source in graph.vertices():
+        if seen[source]:
+            continue
+        component = sorted(bfs_distances(graph, source))
+        for v in component:
+            seen[v] = True
+        order = sorted(
+            (v for v in component if not blocked[v]),
+            key=lambda v: (-len(adjacency[v]), -v),
+        )
+        for r, v in enumerate(order):
+            rank[v] = r
+        h, found = search(order, 0, 0, 0, len(order))
+        carried = set(found or ())
+        chosen: list[int] = []
+        for cur in component:
+            if len(chosen) == h:
+                break
+            if blocked[cur]:
+                continue
+            take(cur, n, 0)  # nothing is undecided while cur is fixed
+            if cur not in carried:
+                size, found = search([v for v in order if v > cur], cur, len(chosen) + 1, h - 1, h)
+                if size < h:
+                    undo(cur)
+                    continue
+                carried = {*chosen, cur, *found}
             chosen.append(cur)
-        else:
-            for u in nbrs:
-                residual[u] += 1
-    if len(chosen) != h:
-        raise ReconstructionError("witness reconstruction lost the optimum")
-    return SolveResult(h, tuple(chosen), "brute", {"budget": node_budget, "nodes": nodes})
+        if len(chosen) != h:
+            raise ReconstructionError("witness reconstruction lost the optimum")
+        witness += chosen
+    witness.sort()
+    return SolveResult(len(witness), tuple(witness), "brute", {"budget": node_budget, "nodes": nodes})
 
 
 def mmo_feasible_bruteforce(wg: WeightedGraph) -> tuple[bool, tuple[tuple[int, int], ...] | None]:

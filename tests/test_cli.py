@@ -206,11 +206,39 @@ def test_generate_mrss(tmp_path, capsys):
     assert inst.graph.n == 29
 
 
-def test_deep_brute_search_exits_two(tmp_path, capsys):
-    # one recursion level per vertex: 1100 vertices pass the default limit
+def test_deep_brute_search_is_answered(tmp_path, capsys):
+    # both graphs have more vertices than the default recursion limit;
+    # the oracle searches on an explicit stack, so only --budget bounds it
     path = tmp_path / "edgeless.hs"
     path.write_text("p hs 1100 0\nt majority\n")
     code, lines, err = run(capsys, "solve", str(path), "--algo", "brute")
+    assert code == 0 and err == ""
+    assert lines[0] == "SIZE 1100" and lines[-1] == "SOLVER brute"
+    # every vertex of a threshold-3 path may have both neighbours chosen
+    n = 1200
+    path = tmp_path / "p1200.hs"
+    path.write_text(
+        f"p hs {n} {n - 1}\n"
+        + "".join(f"t {v} 3\n" for v in range(1, n + 1))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    )
+    everything = "SET " + " ".join(str(v) for v in range(1, n + 1))
+    code, lines, err = run(capsys, "solve", str(path), "--algo", "brute")
+    assert code == 0 and err == ""
+    assert lines == [f"SIZE {n}", everything, "SOLVER brute"]
+    code, lines, err = run(capsys, "solve", str(path), "--algo", "planar", "--k", "250")
+    assert code == 0 and err == ""
+    assert lines == [f"SIZE {n}", everything, "ANSWER yes", "SOLVER planar", "RULE kernel"]
+
+
+def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
+    # ilp.maximize, under the nd and twin cover solvers, still recurses
+    # once per variable
+    def deep(instance):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("harmless.cli.solve_nd", deep)
+    code, lines, err = run(capsys, "solve", p3_file, "--algo", "nd")
     assert code == 2 and lines == []
     assert err.startswith("error: recursion depth limit ")
 
