@@ -18,7 +18,6 @@ from .core import (
     FormatError,
     ReconstructionError,
     as_vertex_set,
-    format_solution,
     parse_instance,
     slack,
 )
@@ -124,39 +123,40 @@ def cmd_solve(args) -> int:
             cover = find_twin_cover(instance.graph, args.cover_limit)
             algo = "twincover" if cover is not None else "brute"
 
+    rule = None
     if algo == "planar":
         decision = solve_planar(instance, args.k, args.budget)
-        rows = []
-        if "kernel_size" in decision.kernel_stats:
-            rows.append(("SIZE", decision.kernel_stats["kernel_size"]))
-        if decision.witness:
-            rows.append(("SET", " ".join(str(v) for v in decision.witness)))
-        rows.append(("ANSWER", "yes" if decision.answer else "no"))
-        rows.append(("SOLVER", "planar"))
-        rows.append(("RULE", "kernel" if decision.path_used is None else "diameter"))
-        _emit(rows, args.machine)
-        return 0
-
-    if algo == "brute":
-        result = max_harmless_bruteforce(instance, args.budget)
-    elif algo == "nd":
-        result = solve_nd(instance)
-    elif algo == "twincover":
-        if args.cover is not None:
-            cover = as_vertex_set(_id_list(args.cover), instance.graph.n)
-        elif cover is None:
-            cover = find_twin_cover(instance.graph, args.cover_limit)
-            if cover is None:
-                raise ValueError(
-                    f"no twin cover of size <= {args.cover_limit}; pass --cover"
-                )
-        result = solve_twincover(instance, cover)
+        size, witness = decision.kernel_stats.get("kernel_size"), decision.witness
+        answer, solver = decision.answer, "planar"
+        rule = "kernel" if decision.path_used is None else "diameter"
     else:
-        result = solve_cliquewidth(instance, parse_cexpr(_read(args.cexpr)))
+        if algo == "brute":
+            result = max_harmless_bruteforce(instance, args.budget)
+        elif algo == "nd":
+            result = solve_nd(instance)
+        elif algo == "twincover":
+            if args.cover is not None:
+                cover = as_vertex_set(_id_list(args.cover), instance.graph.n)
+            elif cover is None:
+                cover = find_twin_cover(instance.graph, args.cover_limit)
+                if cover is None:
+                    raise ValueError(
+                        f"no twin cover of size <= {args.cover_limit}; pass --cover"
+                    )
+            result = solve_twincover(instance, cover)
+        else:
+            result = solve_cliquewidth(instance, parse_cexpr(_read(args.cexpr)))
+        size, witness, solver = result.size, result.witness, result.solver
+        answer = args.k is not None and size >= args.k
 
-    answer = None if args.k is None else result.size >= args.k
-    rows = [tuple(line.split(" ", 1)) for line in format_solution(result.size, result.witness, answer)]
-    rows.append(("SOLVER", result.solver))
+    rows = [] if size is None else [("SIZE", size)]
+    if witness:
+        rows.append(("SET", " ".join(str(v) for v in witness)))
+    if args.k is not None:
+        rows.append(("ANSWER", "yes" if answer else "no"))
+    rows.append(("SOLVER", solver))
+    if rule is not None:
+        rows.append(("RULE", rule))
     _emit(rows, args.machine)
     return 0
 

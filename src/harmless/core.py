@@ -203,79 +203,75 @@ def parse_instance(text: str) -> Instance:
     Layout: a `p hs <n> <m>` header, then `t <v> <threshold>` lines (one
     per vertex, or a single `t majority` line), then `e <u> <v>` lines.
     Lines starting with `#` and blank lines are ignored; t and e lines
-    may interleave.
+    may interleave.  `Graph` checks each edge as its line is read, so
+    its errors name that line.
     """
-    header = None
+    lines = content_lines(text)
+    if not lines:
+        raise FormatError("missing `p hs <n> <m>` header")
+    lineno, line = lines[0]
+    fields = line.split()
+    if fields[0] != "p":
+        raise FormatError(f"line {lineno}: expected `p hs <n> <m>` header")
+    if len(fields) != 4 or fields[1] != "hs":
+        raise FormatError(f"line {lineno}: malformed header {line!r}")
+    try:
+        n, m = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer header counts") from None
+    if n < 0 or m < 0:
+        raise FormatError(f"line {lineno}: negative header counts")
     thresholds: dict[int, int] = {}
     majority = False
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in content_lines(text):
-        fields = line.split()
-        if header is None:
-            if fields[0] != "p":
-                raise FormatError(f"line {lineno}: expected `p hs <n> <m>` header")
-            if len(fields) != 4 or fields[1] != "hs":
-                raise FormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header counts") from None
-            if n < 0 or m < 0:
-                raise FormatError(f"line {lineno}: negative header counts")
-            header = (n, m)
-            continue
-        if fields[0] == "t":
-            if len(fields) == 2 and fields[1] == "majority":
-                if majority or thresholds:
+
+    def edges():
+        nonlocal lineno, majority
+        for lineno, line in lines[1:]:
+            fields = line.split()
+            if fields[0] == "t":
+                if len(fields) == 2 and fields[1] == "majority":
+                    if majority or thresholds:
+                        raise FormatError(
+                            f"line {lineno}: `t majority` must be the only threshold line"
+                        )
+                    majority = True
+                    continue
+                if majority:
                     raise FormatError(
-                        f"line {lineno}: `t majority` must be the only threshold line"
+                        f"line {lineno}: threshold line after `t majority`"
                     )
-                majority = True
-                continue
-            if majority:
-                raise FormatError(
-                    f"line {lineno}: threshold line after `t majority`"
-                )
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: malformed threshold line {line!r}")
-            try:
-                v, t = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer threshold line") from None
-            if not (1 <= v <= header[0]):
-                raise FormatError(f"line {lineno}: vertex {v} outside 1..{header[0]}")
-            if v in thresholds:
-                raise FormatError(f"line {lineno}: duplicate threshold for vertex {v}")
-            if t < 1:
-                raise FormatError(f"line {lineno}: threshold {t} < 1")
-            thresholds[v] = t
-        elif fields[0] == "e":
-            if len(fields) != 3:
-                raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer edge line") from None
-            if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-                raise FormatError(
-                    f"line {lineno}: edge ({u},{v}) outside 1..{header[0]}"
-                )
-            if u == v:
-                raise FormatError(f"line {lineno}: self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise FormatError(f"line {lineno}: duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            edges.append(e)
-        else:
-            raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing `p hs <n> <m>` header")
-    n, m = header
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
-    graph = Graph(n, edges)
+                if len(fields) != 3:
+                    raise FormatError(f"line {lineno}: malformed threshold line {line!r}")
+                try:
+                    v, t = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-integer threshold line") from None
+                if not (1 <= v <= n):
+                    raise FormatError(f"line {lineno}: vertex {v} outside 1..{n}")
+                if v in thresholds:
+                    raise FormatError(f"line {lineno}: duplicate threshold for vertex {v}")
+                if t < 1:
+                    raise FormatError(f"line {lineno}: threshold {t} < 1")
+                thresholds[v] = t
+            elif fields[0] == "e":
+                if len(fields) != 3:
+                    raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise FormatError(f"line {lineno}: non-integer edge line") from None
+                yield u, v
+            else:
+                raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
+
+    try:
+        graph = Graph(n, edges())
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+    if len(graph.edges) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(graph.edges)}")
     if majority:
         return majority_thresholds(graph)
     if len(thresholds) != n:
@@ -293,12 +289,3 @@ def serialize_instance(instance: Instance) -> str:
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
 
-
-def format_solution(size: int, witness: Sequence[int], answer: bool | None = None) -> list[str]:
-    """SIZE/SET/ANSWER output lines; SET is omitted for the empty set."""
-    lines = [f"SIZE {size}"]
-    if size > 0:
-        lines.append("SET " + " ".join(str(v) for v in witness))
-    if answer is not None:
-        lines.append(f"ANSWER {'yes' if answer else 'no'}")
-    return lines

@@ -286,38 +286,44 @@ def mrss_feasible_bruteforce(mi: MrssInstance) -> tuple[bool, tuple[int, ...] | 
 
 
 def parse_mmo(text: str) -> WeightedGraph:
-    """Parse `p mmo <n> <m> <r>` plus `e <u> <v> <w>` lines."""
-    header = None
-    edges: list[tuple[int, int]] = []
-    weights: dict[tuple[int, int], int] = {}
-    for lineno, line in content_lines(text):
-        fields = line.split()
-        if header is None:
-            if len(fields) != 5 or fields[0] != "p" or fields[1] != "mmo":
-                raise FormatError(f"line {lineno}: expected `p mmo <n> <m> <r>`")
-            try:
-                header = tuple(int(x) for x in fields[2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header") from None
-            continue
-        if fields[0] != "e" or len(fields) != 4:
-            raise FormatError(f"line {lineno}: expected `e <u> <v> <w>`")
-        try:
-            u, v, w = (int(x) for x in fields[1:])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer edge line") from None
-        e = (u, v) if u < v else (v, u)
-        if e in weights:
-            raise FormatError(f"line {lineno}: duplicate edge ({e[0]},{e[1]})")
-        edges.append(e)
-        weights[e] = w
-    if header is None:
+    """Parse `p mmo <n> <m> <r>` plus `e <u> <v> <w>` lines; `Graph`
+    checks each edge as its line is read, so its errors name that line."""
+    lines = content_lines(text)
+    if not lines:
         raise FormatError("missing `p mmo <n> <m> <r>` header")
-    n, m, r = header
-    if len(edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(edges)}")
+    lineno, line = lines[0]
+    fields = line.split()
+    if len(fields) != 5 or fields[0] != "p" or fields[1] != "mmo":
+        raise FormatError(f"line {lineno}: expected `p mmo <n> <m> <r>`")
     try:
-        return WeightedGraph(Graph(n, edges), weights, r)
+        n, m, r = (int(x) for x in fields[2:])
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer header") from None
+    weights: dict[tuple[int, int], int] = {}
+
+    def edges():
+        nonlocal lineno
+        for lineno, line in lines[1:]:
+            fields = line.split()
+            if fields[0] != "e" or len(fields) != 4:
+                raise FormatError(f"line {lineno}: expected `e <u> <v> <w>`")
+            try:
+                u, v, w = (int(x) for x in fields[1:])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer edge line") from None
+            weights[u, v] = w
+            yield u, v
+
+    try:
+        graph = Graph(n, edges())
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+    if len(graph.edges) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(graph.edges)}")
+    try:
+        return WeightedGraph(graph, weights, r)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

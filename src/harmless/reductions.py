@@ -9,8 +9,7 @@ gadget roles to vertex ids so outputs are reproducible fixtures, and both
 audit their own structure after building it.
 
 Vertex ids are allocated in a fixed documented order; filler vertices
-(pendant triangles, the three 4-cycles) always come last, which keeps the
-descending-id oracle fast on generated instances.
+(pendant triangles, the three 4-cycles) always come last.
 """
 
 from __future__ import annotations

@@ -233,7 +233,7 @@ def test_deep_brute_search_is_answered(tmp_path, capsys):
 
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
     # ilp.maximize, under the nd and twin cover solvers, still recurses
-    # once per variable
+    # once per variable, and find_twin_cover once per cover vertex
     def deep(instance):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -17,7 +17,6 @@ from harmless import (
     slack,
     validate,
 )
-from harmless.core import format_solution
 
 from families import random_instance
 
@@ -158,11 +157,3 @@ def test_serialize_round_trip():
     for _ in range(50):
         inst = random_instance(rng, 1, 8)
         assert parse_instance(serialize_instance(inst)) == inst
-
-
-def test_format_solution():
-    assert format_solution(1, [1]) == ["SIZE 1", "SET 1"]
-    assert format_solution(0, []) == ["SIZE 0"]
-    rows = format_solution(3, [1, 7, 13], answer=True)
-    assert rows == ["SIZE 3", "SET 1 7 13", "ANSWER yes"]
-    assert format_solution(0, [], answer=False)[-1] == "ANSWER no"

@@ -180,18 +180,22 @@ def test_mrss_round_trip():
     assert parse_mrss(serialize_mrss(mi)) == mi
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p hs 2 1\n",  # wrong kind
-        "p mmo 2 1\nw 1 2 3\n",  # missing r
-        "p mmo 2 1 3\nw 1 2 0\n",  # zero weight
-        "p mmo 2 2 3\nw 1 2 1\n",  # count mismatch
-    ],
-)
-def test_parse_mmo_errors(text):
-    with pytest.raises(FormatError):
+MMO_ERRORS = [
+    ("p hs 2 1\n", "line 1: expected `p mmo <n> <m> <r>`"),  # wrong kind
+    ("p mmo 2 1\nw 1 2 3\n", "line 1: expected `p mmo <n> <m> <r>`"),  # missing r
+    ("p mmo 2 1 3\ne 1 2 0\n", "edge (1,2): weight 0 < 1"),
+    ("p mmo 2 2 3\ne 1 2 1\n", "expected 2 edge lines, found 1"),
+    ("p mmo -1 0 3\n", "line 1: vertex count must be non-negative"),
+    ("p mmo 3 2 3\n# c\ne 1 2 1\n\ne 1 5 2\n", "line 5: edge (1,5) has an endpoint outside 1..3"),
+    ("p mmo 2 1 3\n\ne 1 1 2\n", "line 3: self-loop at vertex 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", MMO_ERRORS, ids=[text for text, _ in MMO_ERRORS])
+def test_parse_mmo_errors(text, message):
+    with pytest.raises(FormatError) as info:
         parse_mmo(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

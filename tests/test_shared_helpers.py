@@ -58,22 +58,26 @@ def test_bfs_distances_matches_reference(case):
     assert bfs_distances(graph, source) == reference_distances(n, edges, source, set())
 
 
-# parser, clean text, and a bad line with its message minus the line number
+# parser, clean text, and bad lines with their messages minus the line number
 FORMATS = {
     "hs": (
         parse_instance,
         "p hs 5 4\nt majority\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n",
-        ("e  1 2  3", "malformed edge line 'e  1 2  3'"),
+        [
+            ("e  1 2  3", "malformed edge line 'e  1 2  3'"),
+            ("e 1 1", "self-loop at vertex 1"),
+            ("e 1 9", "edge (1,9) has an endpoint outside 1..5"),
+        ],
     ),
     "mmo": (
         parse_mmo,
         "p mmo 3 2 3\ne 1 2 2\ne 2 3 1\n",
-        ("e 1 x 2", "non-integer edge line"),
+        [("e 1 x 2", "non-integer edge line"), ("e 1 1 2", "self-loop at vertex 1")],
     ),
     "mrss": (
         parse_mrss,
         "p mrss 2 3 2\nt 3 3\ns 2 1\ns 1 1\ns 1 2\n",
-        ("q  1 2", "unknown line type 'q'"),
+        [("q  1 2", "unknown line type 'q'")],
     ),
 }
 
@@ -108,10 +112,11 @@ def test_formats_ignore_padding_blanks_and_comments(fmt, data):
 @PROPERTY
 @given(data=st.data())
 def test_format_errors_keep_line_numbers(fmt, data):
-    parse, clean, (bad, message) = FORMATS[fmt]
+    parse, clean, bad_lines = FORMATS[fmt]
     good = clean.splitlines()
-    at = data.draw(st.integers(1, len(good)))
-    lines, positions = data.draw(noisy(good[:at] + [bad] + good[at:]))
-    with pytest.raises(FormatError) as info:
-        parse("\n".join(lines))
-    assert str(info.value) == f"line {positions[at]}: {message}"
+    for bad, message in bad_lines:
+        at = data.draw(st.integers(1, len(good)))
+        lines, positions = data.draw(noisy(good[:at] + [bad] + good[at:]))
+        with pytest.raises(FormatError) as info:
+            parse("\n".join(lines))
+        assert str(info.value) == f"line {positions[at]}: {message}"
