@@ -1,117 +1,84 @@
-"""Small exact integer linear program solver.
+"""Small exact solver for packing integer programs.
 
-Models are maximisation problems over bounded integer variables with
-`sum(a_i * x_i) <= b` constraints.  The solver is a depth-first search
-over variable assignments, cut off by the least activity each constraint
-can still gain from the unassigned variables; it is built for the tiny
-models the structural solvers emit (a handful of variables with
-single-digit bounds), not for general-purpose optimisation.
+Every integer program the structural solvers emit has one shape:
+maximise the sum of the variables, where variable i ranges over
+`lower[i]..upper[i]` and each row c caps the sum of the variables it
+lists at `bounds[c]`.  The solver is a depth-first search over
+assignments on an explicit stack; it is built for the tiny models those
+solvers emit (a handful of variables with single-digit bounds), not for
+general-purpose optimisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
+def maximize(
+    rows, bounds, lower, upper, stats: dict | None = None
+) -> tuple[int, ...] | None:
+    """Lexicographically greatest optimal assignment, or None when the
+    model is infeasible; its value is its sum.
 
-@dataclass(frozen=True)
-class IlpVariable:
-    name: str
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"variable {self.name}: bounds [{self.lower},{self.upper}] empty")
-
-
-@dataclass(frozen=True)
-class IlpConstraint:
-    """sum(coeffs[i] * x_i) <= bound, one coefficient per variable."""
-
-    coeffs: tuple[int, ...]
-    bound: int
-
-
-@dataclass(frozen=True)
-class IlpSolution:
-    assignment: tuple[int, ...]
-    value: int
-
-
-@dataclass(frozen=True)
-class IlpModel:
-    variables: tuple[IlpVariable, ...]
-    constraints: tuple[IlpConstraint, ...]
-    objective: tuple[int, ...]
-
-    def __post_init__(self):
-        nvars = len(self.variables)
-        if len(self.objective) != nvars:
-            raise ValueError(
-                f"objective has {len(self.objective)} coefficients for {nvars} variables"
-            )
-        for idx, con in enumerate(self.constraints):
-            if len(con.coeffs) != nvars:
-                raise ValueError(
-                    f"constraint {idx} has {len(con.coeffs)} coefficients "
-                    f"for {nvars} variables"
-                )
-
-
-def maximize(model: IlpModel, stats: dict | None = None) -> IlpSolution | None:
-    """Best assignment, or None when the model is infeasible.
-
-    Variables are assigned in declaration order, values from the upper
-    bound downward, so among equal-objective optima the search reports
-    the lexicographically greatest assignment.  Two suffix bounds cut off
-    a branch: a constraint whose assigned activity plus the minimum
-    activity of the unassigned variables already exceeds its bound, and
-    an objective that cannot beat the incumbent even with every
-    unassigned variable at its most profitable bound.
+    `rows[c]` lists the variable indices of row c, whose sum may not
+    exceed `bounds[c]`, and 0 <= lower[i] <= upper[i].  Variables are
+    assigned in index order, values from the upper bound downward.  Each
+    row keeps a slack: its bound minus its assigned activity minus the
+    lower bounds of its unassigned variables.  A branch dies when a row
+    of the variable just assigned runs out of slack (the root checks
+    every row), or when the sum cannot beat the incumbent even with every
+    unassigned variable at its upper bound.  Stack entries are
+    (position, value, sum of the assigned prefix); an int is the undo
+    marker of that position's assignment.
     """
-    nvars = len(model.variables)
-    lows = [v.lower for v in model.variables]
-    highs = [v.upper for v in model.variables]
-    obj = model.objective
-    constraints = model.constraints
-
-    # suffix bounds over variables i..end: min_act[c][i] is the least
-    # activity of constraint c, obj_max[i] the largest objective
-    min_act = [[0] * (nvars + 1) for _ in constraints]
-    obj_max = [0] * (nvars + 1)
+    nvars = len(lower)
+    if any(not 0 <= lo <= hi for lo, hi in zip(lower, upper)):
+        raise ValueError("every variable needs 0 <= lower <= upper")
+    var_rows: list[list[int]] = [[] for _ in range(nvars)]
+    slack = list(bounds)
+    for c, row in enumerate(rows):
+        for i in row:
+            var_rows[i].append(c)
+            slack[c] -= lower[i]
+    reach = [0] * (nvars + 1)  # reach[i]: the most variables i.. can add
     for i in range(nvars - 1, -1, -1):
-        lo, hi = lows[i], highs[i]
-        obj_max[i] = obj_max[i + 1] + max(obj[i] * lo, obj[i] * hi)
-        for row, con in zip(min_act, constraints):
-            a = con.coeffs[i]
-            row[i] = row[i + 1] + min(a * lo, a * hi)
+        reach[i] = reach[i + 1] + upper[i]
 
-    best: IlpSolution | None = None
-    nodes = 0
+    best, best_value = None, -1
+    nodes = 1  # the root
     assigned = [0] * nvars
-    acts = [0] * len(constraints)  # activity of the assigned prefix
-
-    def dfs(pos: int, value: int):
-        nonlocal best, nodes
+    stack: list = []
+    if all(s >= 0 for s in slack):
+        if nvars:
+            stack.append((0, upper[0], 0))
+        else:
+            best = ()
+    while stack:
+        entry = stack.pop()
+        if type(entry) is int:  # undo marker
+            gain = assigned[entry] - lower[entry]
+            for c in var_rows[entry]:
+                slack[c] += gain
+            continue
+        pos, x, value = entry
         nodes += 1
-        if best is not None and value + obj_max[pos] <= best.value:
-            return
-        for ci, con in enumerate(constraints):
-            if acts[ci] + min_act[ci][pos] > con.bound:
-                return
-        if pos == nvars:
-            best = IlpSolution(tuple(assigned), value)
-            return
-        for x in range(highs[pos], lows[pos] - 1, -1):
-            assigned[pos] = x
-            for ci, con in enumerate(constraints):
-                acts[ci] += con.coeffs[pos] * x
-            dfs(pos + 1, value + obj[pos] * x)
-            for ci, con in enumerate(constraints):
-                acts[ci] -= con.coeffs[pos] * x
-        assigned[pos] = 0
-
-    dfs(0, 0)
+        value += x
+        if value + reach[pos + 1] <= best_value:
+            nodes += x - lower[pos]  # its lower values fail the same cut
+            continue
+        if x > lower[pos]:
+            stack.append((pos, x - 1, value - x))
+        assigned[pos] = x
+        gain = x - lower[pos]
+        alive = True
+        for c in var_rows[pos]:
+            slack[c] -= gain
+            alive = alive and slack[c] >= 0
+        stack.append(pos)
+        if not alive:
+            continue
+        if pos + 1 == nvars:
+            best, best_value = tuple(assigned), value
+        else:
+            stack.append((pos + 1, upper[pos + 1], value))
     if stats is not None:
         stats["ilp_nodes"] = stats.get("ilp_nodes", 0) + nodes
     return best

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
-from .ilp import IlpConstraint, IlpModel, IlpVariable, maximize
+from .ilp import maximize
 
 
 @dataclass(frozen=True)
@@ -97,35 +97,42 @@ def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple
     return t, alpha
 
 
-def build_nd_ilp(
-    instance: Instance, partition: TypePartition, saturating: frozenset
-) -> IlpModel:
-    """One variable per class (how many members enter S) and one packing
-    row per class on the neighbours its members see.  The guess only
-    bounds the clique variables: a class in `saturating` holds
-    [alpha(C), |C|] solution vertices, any other clique class
-    [0, alpha(C) - 1].
+def nd_rows(partition: TypePartition) -> tuple[tuple[int, ...], ...]:
+    """One packing row per class on the classes its members see: the
+    neighbour classes, plus the class itself when it is a clique.  No
+    guess changes a row.
+    """
+    return tuple(
+        nbrs + (i,) if kind == "clique" else nbrs
+        for i, (nbrs, kind) in enumerate(zip(partition.type_neighbors, partition.kinds))
+    )
+
+
+def nd_bounds(
+    partition: TypePartition, class_stats, saturating: frozenset
+) -> tuple[list[int], list[int], list[int]]:
+    """(row bounds, lower, upper) of one saturation guess, given each
+    class's (t(C), alpha(C)).  A variable counts the members of its class
+    in S, and row i caps what a member with the least threshold sees at
+    t(C) - 1.  The guess only bounds the clique variables: a class in
+    `saturating` holds [alpha(C), |C|] solution vertices, any other
+    clique class [0, alpha(C) - 1].
     """
     for i in saturating:
         if partition.kinds[i] != "clique":
             raise ValueError(f"class {i} in guess is not a clique class")
-    w = partition.width
-    variables, constraints = [], []
-    for i, members in enumerate(partition.classes):
-        t, alpha = class_threshold_stats(instance, members)
-        coeffs = [0] * w
-        for j in partition.type_neighbors[i]:
-            coeffs[j] = 1
-        lower, upper, bound = 0, len(members), t - 1
+    bounds, lower, upper = [], [], []
+    for i, (members, (t, alpha)) in enumerate(zip(partition.classes, class_stats)):
+        lo, hi, bound = 0, len(members), t - 1
         if partition.kinds[i] == "clique":
-            coeffs[i] = 1
             if i in saturating:  # members of S see x_i - 1 inside the class
-                lower, bound = alpha, t
+                lo, bound = alpha, t
             else:
-                upper = alpha - 1
-        variables.append(IlpVariable(f"x{i}", lower, upper))
-        constraints.append(IlpConstraint(tuple(coeffs), bound))
-    return IlpModel(tuple(variables), tuple(constraints), tuple([1] * w))
+                hi = alpha - 1
+        bounds.append(bound)
+        lower.append(lo)
+        upper.append(hi)
+    return bounds, lower, upper
 
 
 def _select_members(
@@ -148,6 +155,8 @@ def solve_nd(instance: Instance) -> SolveResult:
     clique_classes = [
         i for i in range(partition.width) if partition.kinds[i] == "clique"
     ]
+    rows = nd_rows(partition)
+    class_stats = [class_threshold_stats(instance, members) for members in partition.classes]
     stats: dict = {"classes": partition.width, "guesses": 0}
     best: tuple[int, tuple[int, ...]] | None = None
     for bits in range(1 << len(clique_classes)):
@@ -155,11 +164,9 @@ def solve_nd(instance: Instance) -> SolveResult:
             clique_classes[j] for j in range(len(clique_classes)) if bits >> j & 1
         )
         stats["guesses"] += 1
-        solution = maximize(build_nd_ilp(instance, partition, saturating), stats)
-        if solution is None:
-            continue
-        if best is None or solution.value > best[0]:
-            best = (solution.value, solution.assignment)
+        counts = maximize(rows, *nd_bounds(partition, class_stats, saturating), stats)
+        if counts is not None and (best is None or sum(counts) > best[0]):
+            best = (sum(counts), counts)
     if best is None:
         raise ReconstructionError("no feasible guess; the empty set was lost")
     witness = _select_members(instance, partition, best[1])

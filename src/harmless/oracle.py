@@ -352,9 +352,12 @@ def parse_mrss(text: str) -> MrssInstance:
                 raise FormatError(f"line {lineno}: non-integer target line") from None
         elif fields[0] == "s":
             try:
-                vectors.append(tuple(int(x) for x in fields[1:]))
+                vec = tuple(int(x) for x in fields[1:])
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer vector line") from None
+            if any(x < 0 for x in vec):
+                raise FormatError(f"line {lineno}: vector entries must be non-negative")
+            vectors.append(vec)
         else:
             raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
     if header is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distances, is_harmless
-from .ilp import IlpConstraint, IlpModel, IlpVariable, maximize
+from .ilp import maximize
 from .nd import are_twins, class_threshold_stats
 
 BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
@@ -25,8 +25,9 @@ BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
 @dataclass(frozen=True)
 class TwinDecomposition:
     """Cliques of G - X, their X-neighbourhoods and (t, alpha) stats,
-    and the clique indices grouped into classes by X-neighbourhood;
-    none of these depends on the guess S_X.
+    the clique indices grouped into classes by X-neighbourhood, and one
+    packing row per cover vertex on the classes whose X-neighbourhood
+    holds it; none of these depends on the guess S_X.
     """
 
     cover: tuple[int, ...]
@@ -34,6 +35,7 @@ class TwinDecomposition:
     x_neighborhoods: tuple[frozenset, ...]
     threshold_stats: tuple[tuple[int, int], ...]
     classes: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def caps(self, s_x) -> tuple[int, ...] | None:
         """How many members of each clique may join S under S_X; None
@@ -120,40 +122,16 @@ def decompose(instance: Instance, cover) -> TwinDecomposition:
     groups: dict[frozenset, list[int]] = {}
     for idx, nx in enumerate(x_nbrs):
         groups.setdefault(nx, []).append(idx)
+    keys = sorted(groups, key=sorted)
+    cover = tuple(sorted(xs))
     return TwinDecomposition(
-        tuple(sorted(xs)),
+        cover,
         tuple(cliques),
         tuple(x_nbrs),
         tuple(class_threshold_stats(instance, clique) for clique in cliques),
-        tuple(tuple(groups[key]) for key in sorted(groups, key=sorted)),
+        tuple(tuple(groups[key]) for key in keys),
+        tuple(tuple(i for i, key in enumerate(keys) if u in key) for u in cover),
     )
-
-
-def build_tc_ilp(
-    instance: Instance, decomp: TwinDecomposition, s_x, caps: tuple[int, ...]
-) -> IlpModel:
-    """One variable per clique class, bounded by its cliques' caps; each
-    cover vertex u constrains the classes it fully sees plus its
-    neighbours already inside S_X.
-    """
-    graph = instance.graph
-    sx = set(s_x)
-    nclasses = len(decomp.classes)
-    variables = tuple(
-        IlpVariable(f"y{i}", 0, sum(caps[idx] for idx in decomp.classes[i]))
-        for i in range(nclasses)
-    )
-    constraints = []
-    for u in decomp.cover:
-        coeffs = [0] * nclasses
-        for i in range(nclasses):
-            if u in decomp.x_neighborhoods[decomp.classes[i][0]]:
-                coeffs[i] = 1
-        inside = len(graph.neighbors[u - 1] & sx)
-        constraints.append(
-            IlpConstraint(tuple(coeffs), instance.threshold(u) - 1 - inside)
-        )
-    return IlpModel(variables, tuple(constraints), tuple([1] * nclasses))
 
 
 def _distribute(
@@ -197,15 +175,18 @@ def solve_twincover(instance: Instance, cover) -> SolveResult:
         if caps is None:
             stats["dead_guesses"] += 1
             continue
-        solution = maximize(build_tc_ilp(instance, decomp, s_x, caps), stats)
-        if solution is None:
+        sx = set(s_x)
+        bounds = [
+            instance.threshold(u) - 1 - len(graph.neighbors[u - 1] & sx) for u in xs
+        ]
+        upper = [sum(caps[idx] for idx in cls) for cls in decomp.classes]
+        counts = maximize(decomp.rows, bounds, [0] * len(upper), upper, stats)
+        if counts is None:
             stats["dead_guesses"] += 1
             continue
-        total = len(s_x) + solution.value
+        total = len(s_x) + sum(counts)
         if best is None or total > best[0]:
-            witness = tuple(
-                sorted(list(s_x) + _distribute(decomp, caps, solution.assignment, instance))
-            )
+            witness = tuple(sorted(list(s_x) + _distribute(decomp, caps, counts, instance)))
             best = (total, witness)
     if best is None:
         raise ReconstructionError("every guess died; the empty set was lost")

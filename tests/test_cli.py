@@ -208,7 +208,7 @@ def test_generate_mrss(tmp_path, capsys):
 
 def test_deep_brute_search_is_answered(tmp_path, capsys):
     # both graphs have more vertices than the default recursion limit;
-    # the oracle searches on an explicit stack, so only --budget bounds it
+    # the oracle and the integer programs search on an explicit stack
     path = tmp_path / "edgeless.hs"
     path.write_text("p hs 1100 0\nt majority\n")
     code, lines, err = run(capsys, "solve", str(path), "--algo", "brute")
@@ -229,11 +229,16 @@ def test_deep_brute_search_is_answered(tmp_path, capsys):
     code, lines, err = run(capsys, "solve", str(path), "--algo", "planar", "--k", "250")
     assert code == 0 and err == ""
     assert lines == [f"SIZE {n}", everything, "ANSWER yes", "SOLVER planar", "RULE kernel"]
+    # no two vertices of the path are twins, so the nd program has one
+    # variable per vertex
+    code, lines, err = run(capsys, "solve", str(path), "--algo", "nd")
+    assert code == 0 and err == ""
+    assert lines == [f"SIZE {n}", everything, "SOLVER nd"]
 
 
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
-    # ilp.maximize, under the nd and twin cover solvers, still recurses
-    # once per variable, and find_twin_cover once per cover vertex
+    # find_twin_cover still recurses once per cover vertex, under
+    # analyze, auto and a twin cover solve without --cover
     def deep(instance):
         raise RecursionError("maximum recursion depth exceeded")
 

@@ -1,15 +1,17 @@
 """The nd and twin cover guesses against reference copies of their
 earlier encodings.
 
-`build_nd_ilp` once wrote each saturation guess as an extra row
+The nd solver once wrote each saturation guess as an extra row
 (`-x <= -alpha` or `x <= alpha - 1`) where it now sets the bounds of
 the class variable, and `decompose` once split G - X again for every
 S_X where it now runs once per cover and leaves only the caps to each
-guess.  The references below are those earlier forms; both admit the
-same integer points, and `maximize` returns the lexicographically
-greatest optimum of its point set, so every answer, witness and
-twin cover work count must match.  Work tests count calls instead of
-timing them.
+guess.  The references below are those earlier forms, written as
+general models and solved by the reference solver of
+`ilp_reference.py`, since the side rows have a negative coefficient.
+Both forms admit the same integer points, and both solvers return the
+lexicographically greatest optimum of a point set, so every answer,
+witness and twin cover work count must match.  Work tests count calls
+instead of timing them.
 """
 
 import random
@@ -19,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 import harmless.twincover as twincover
 from harmless import Graph, Instance, find_twin_cover, nd_partition, solve_nd, solve_twincover
 from harmless.core import ReconstructionError, bfs_distances, is_harmless
-from harmless.ilp import IlpConstraint, IlpModel, IlpVariable, maximize
-from harmless.nd import _select_members, build_nd_ilp, class_threshold_stats
+from harmless.nd import _select_members, class_threshold_stats, nd_rows
+from ilp_reference import IlpConstraint, IlpModel, IlpVariable, maximize
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -229,12 +231,13 @@ def test_solve_twincover_matches_per_guess_decompose(case):
 @given(st.one_of(small_instances(), blowups()))
 def test_nd_models_have_one_packing_row_per_class(inst):
     partition = nd_partition(inst.graph)
-    clique_classes = [i for i in range(partition.width) if partition.kinds[i] == "clique"]
-    for bits in range(1 << len(clique_classes)):
-        guess = frozenset(c for j, c in enumerate(clique_classes) if bits >> j & 1)
-        model = build_nd_ilp(inst, partition, guess)
-        assert len(model.constraints) == partition.width
-        assert all(a >= 0 for con in model.constraints for a in con.coeffs)
+    rows = nd_rows(partition)
+    assert len(rows) == partition.width
+    for i, row in enumerate(rows):
+        # each class at most once: every coefficient is 0 or 1
+        assert len(set(row)) == len(row)
+        assert set(row) - {i} == set(partition.type_neighbors[i])
+        assert (i in row) == (partition.kinds[i] == "clique")
 
 
 def test_twincover_splits_the_cover_remainder_once(monkeypatch):

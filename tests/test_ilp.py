@@ -1,141 +1,131 @@
-"""Exact ILP engine, cross-checked against full lattice enumeration."""
+"""Exact packing ILP engine, cross-checked against full lattice
+enumeration and against the general reference solver."""
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from harmless import IlpConstraint, IlpModel, IlpVariable, maximize
-
-
-def model_of(bounds, constraints, objective):
-    return IlpModel(
-        tuple(IlpVariable(f"x{i}", lo, hi) for i, (lo, hi) in enumerate(bounds)),
-        tuple(IlpConstraint(tuple(c), b) for c, b in constraints),
-        tuple(objective),
-    )
+from harmless import maximize
+from ilp_reference import maximize as reference_maximize, packing_model
 
 
 def test_simple_maximum():
-    m = model_of([(0, 2), (0, 2)], [((1, 1), 3)], (1, 1))
-    sol = maximize(m)
-    assert sol.value == 3
-    assert sol.assignment == (2, 1)  # lex-greatest optimum
+    assert maximize([(0, 1)], [3], [0, 0], [2, 2]) == (2, 1)  # lex-greatest optimum
 
 
 def test_infeasible():
-    m = model_of([(0, 5)], [((1,), -1)], (1,))
-    assert maximize(m) is None
+    assert maximize([(0,)], [-1], [0], [5]) is None
+    # lower bounds alone overfill the row
+    assert maximize([(0, 1)], [2], [2, 1], [3, 3]) is None
 
 
 def test_two_constraints():
-    m = model_of([(0, 4), (0, 4)], [((1, 1), 4), ((3, 0), 6)], (2, 1))
-    sol = maximize(m)
-    assert sol.value == 6 and sol.assignment == (2, 2)
+    assert maximize([(0, 1), (0,)], [4, 2], [0, 0], [4, 4]) == (2, 2)
 
 
 def test_no_constraints():
-    m = model_of([(1, 3), (0, 2)], [], (1, -1))
-    sol = maximize(m)
-    assert sol.assignment == (3, 0) and sol.value == 3
+    assert maximize([], [], [1, 0], [3, 2]) == (3, 2)
 
 
 def test_zero_variables():
-    m = IlpModel((), (IlpConstraint((), 0),), ())
-    sol = maximize(m)
-    assert sol.value == 0 and sol.assignment == ()
-    assert maximize(IlpModel((), (IlpConstraint((), -1),), ())) is None
-
-
-def test_negative_bounds_and_coeffs():
-    m = model_of([(-3, 3)], [((-2,), 2)], (-1,))
-    sol = maximize(m)
-    # maximize -x with -2x <= 2, x in [-3,3] -> x = -1
-    assert sol.assignment == (-1,) and sol.value == 1
+    assert maximize([()], [0], [], []) == ()
+    assert maximize([()], [-1], [], []) is None
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        IlpVariable("x", 2, 1)
+        maximize([], [], [2], [1])
     with pytest.raises(ValueError):
-        model_of([(0, 1)], [], (1, 1))
-    with pytest.raises(ValueError):
-        model_of([(0, 1)], [((1, 1), 0)], (1,))
+        maximize([], [], [-1], [1])
 
 
 def test_stats_accumulate():
     stats = {}
-    m = model_of([(0, 1), (0, 1)], [((1, 1), 1)], (1, 1))
-    maximize(m, stats)
+    maximize([(0, 1)], [1], [0, 0], [1, 1], stats)
     first = stats["ilp_nodes"]
-    maximize(m, stats)
+    maximize([(0, 1)], [1], [0, 0], [1, 1], stats)
     assert first >= 1 and stats["ilp_nodes"] == 2 * first
 
 
-def lattice_best(bounds, constraints, objective):
-    axes = [np.arange(lo, hi + 1) for lo, hi in bounds]
-    grid = np.array(list(itertools.product(*axes)))
+def test_deep_model_needs_no_recursion():
+    # one variable per level: 5000 levels, far past the default limit
+    n = 5000
+    rows = [(i, i + 1) for i in range(n - 1)]
+    upper = [1, 2] * (n // 2)
+    stats = {}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = maximize(rows, [3] * (n - 1), [0] * n, upper, stats)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == tuple(upper)
+    # the root, the path down, then every lower value cut at once
+    assert stats["ilp_nodes"] == 1 + n + sum(upper)
+
+
+def random_packing(rng, max_vars, lower_hi, span_hi, bound_lo, bound_hi):
+    nvars = rng.randint(0, max_vars)
+    lower = [rng.randint(0, lower_hi) for _ in range(nvars)]
+    upper = [lo + rng.randint(0, span_hi) for lo in lower]
+    rows = [
+        tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
+        for _ in range(rng.randint(0, 5))
+    ]
+    bounds = [rng.randint(bound_lo, bound_hi) for _ in rows]
+    return rows, bounds, lower, upper
+
+
+def lattice_optimum(rows, bounds, lower, upper):
+    """Value and lexicographically greatest optimum over every integer
+    point of the box, or None when no point meets the rows."""
+    nvars = len(lower)
+    box = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lower, upper)]))
+    grid = np.array(box, dtype=int).reshape(len(box), nvars)
     ok = np.ones(len(grid), dtype=bool)
-    for coeffs, bound in constraints:
-        ok &= grid @ np.array(coeffs) <= bound
+    for row, bound in zip(rows, bounds):
+        ok &= grid[:, list(row)].sum(axis=1) <= bound
     if not ok.any():
         return None
-    vals = grid[ok] @ np.array(objective)
-    return int(vals.max())
+    points = grid[ok]
+    values = points.sum(axis=1)
+    top = int(values.max())
+    return top, max(tuple(int(x) for x in p) for p in points[values == top])
 
 
 def test_matches_lattice_enumeration():
     rng = random.Random(41)
     for _ in range(400):
-        nvars = rng.randint(1, 4)
-        bounds = []
-        for _ in range(nvars):
-            lo = rng.randint(-2, 2)
-            bounds.append((lo, lo + rng.randint(0, 6)))
-        constraints = [
-            (
-                tuple(rng.randint(-3, 3) for _ in range(nvars)),
-                rng.randint(-4, 10),
-            )
-            for _ in range(rng.randint(0, 5))
-        ]
-        objective = tuple(rng.randint(-3, 3) for _ in range(nvars))
-        got = maximize(model_of(bounds, constraints, objective))
-        want = lattice_best(bounds, constraints, objective)
+        model = random_packing(rng, 4, 2, 6, -1, 10)
+        rows, bounds, lower, upper = model
+        got = maximize(*model)
+        want = lattice_optimum(*model)
         if want is None:
             assert got is None
         else:
-            assert got is not None and got.value == want
-            acts = [
-                sum(c * x for c, x in zip(coeffs, got.assignment))
-                for coeffs, _ in constraints
-            ]
-            assert all(a <= b for a, (_, b) in zip(acts, constraints))
+            assert got is not None and sum(got) == want[0]
+            assert all(lo <= x <= hi for lo, x, hi in zip(lower, got, upper))
+            assert all(sum(got[i] for i in row) <= b for row, b in zip(rows, bounds))
 
 
 def test_reported_optimum_is_lex_greatest():
     rng = random.Random(42)
     for _ in range(150):
-        nvars = rng.randint(1, 3)
-        bounds = [(0, rng.randint(0, 3)) for _ in range(nvars)]
-        constraints = [
-            (tuple(rng.randint(0, 2) for _ in range(nvars)), rng.randint(0, 6))
-            for _ in range(rng.randint(0, 3))
-        ]
-        objective = tuple(rng.randint(0, 2) for _ in range(nvars))
-        got = maximize(model_of(bounds, constraints, objective))
-        points = [
-            p
-            for p in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
-            if all(
-                sum(c * x for c, x in zip(coeffs, p)) <= b
-                for coeffs, b in constraints
-            )
-        ]
-        if not points:
-            assert got is None
-            continue
-        top = max(sum(c * x for c, x in zip(objective, p)) for p in points)
-        assert got.value == top
-        assert got.assignment == max(p for p in points if sum(c * x for c, x in zip(objective, p)) == top)
+        model = random_packing(rng, 3, 1, 3, 0, 6)
+        want = lattice_optimum(*model)
+        assert maximize(*model) == (None if want is None else want[1])
+
+
+def test_matches_reference_solver():
+    # same assignment and same node count as the general solver
+    rng = random.Random(43)
+    for _ in range(2000):
+        model = random_packing(rng, 6, 2, 4, -1, 8)
+        stats, ref_stats = {}, {}
+        got = maximize(*model, stats)
+        want = reference_maximize(packing_model(*model), ref_stats)
+        assert got == (None if want is None else want.assignment)
+        assert stats == ref_stats

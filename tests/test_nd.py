@@ -6,10 +6,16 @@ import random
 import pytest
 
 from harmless import Graph, Instance, is_harmless, max_harmless_bruteforce, nd_partition, solve_nd
-from harmless.nd import _select_members, are_twins, build_nd_ilp, class_threshold_stats
+from harmless.nd import _select_members, are_twins, class_threshold_stats, nd_bounds, nd_rows
 from harmless.ilp import maximize
 
 from families import random_instance
+
+
+def guess_model(inst, part, guess):
+    """(rows, bounds, lower, upper) of one saturation guess."""
+    class_stats = [class_threshold_stats(inst, members) for members in part.classes]
+    return (nd_rows(part), *nd_bounds(part, class_stats, guess))
 
 # 9 vertices: 5 is a hub, {6,7} a joined adjacent pair, {8,9} a joined
 # non-adjacent pair, 1..4 pendant on the hub
@@ -70,10 +76,10 @@ def test_single_clique_class_guesses():
     inst = Instance(k4, (2, 3, 3, 3))
     part = nd_partition(k4)
     assert part.kinds == ("clique",)
-    sat = maximize(build_nd_ilp(inst, part, frozenset({0})))
-    assert sat is not None and sat.value == 2
-    lo = maximize(build_nd_ilp(inst, part, frozenset()))
-    assert lo is not None and lo.value == 0  # below alpha means x <= alpha-1 = 0
+    sat = maximize(*guess_model(inst, part, frozenset({0})))
+    assert sat == (2,)
+    lo = maximize(*guess_model(inst, part, frozenset()))
+    assert lo == (0,)  # below alpha means x <= alpha-1 = 0
     assert solve_nd(inst).size == 2
 
 
@@ -81,14 +87,14 @@ def test_guess_alpha_one_forces_zero():
     k3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
     inst = Instance(k3, (1, 2, 2))
     part = nd_partition(k3)
-    low = maximize(build_nd_ilp(inst, part, frozenset()))
-    assert low is not None and low.value == 0
+    low = maximize(*guess_model(inst, part, frozenset()))
+    assert low == (0,)
 
 
 def test_guess_rejects_independent_class():
     part = nd_partition(Graph(2, []))
     with pytest.raises(ValueError):
-        build_nd_ilp(Instance(Graph(2, []), (1, 1)), part, frozenset({0}))
+        guess_model(Instance(Graph(2, []), (1, 1)), part, frozenset({0}))
 
 
 def test_feasible_points_reconstruct_harmless():
@@ -104,13 +110,10 @@ def test_feasible_points_reconstruct_harmless():
         clique_classes = [i for i in range(part.width) if part.kinds[i] == "clique"]
         for bits in range(1 << len(clique_classes)):
             guess = frozenset(c for j, c in enumerate(clique_classes) if bits >> j & 1)
-            model = build_nd_ilp(inst, part, guess)
-            ranges = [range(v.lower, v.upper + 1) for v in model.variables]
+            rows, bounds, lower, upper = guess_model(inst, part, guess)
+            ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
             for point in itertools.product(*ranges):
-                if any(
-                    sum(a * x for a, x in zip(con.coeffs, point)) > con.bound
-                    for con in model.constraints
-                ):
+                if any(sum(point[i] for i in row) > b for row, b in zip(rows, bounds)):
                     continue
                 chosen = _select_members(inst, part, point)
                 assert is_harmless(inst, chosen), (inst, guess, point)

@@ -198,15 +198,20 @@ def test_parse_mmo_errors(text, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p mmo 2 1 3\nw 1 2 1\n",  # wrong kind
-        "p mrss 1 1 1\nt 1\n",  # missing vector
-        "p mrss 1 1 1\nt 1\ns 1\ns 1\n",  # too many vectors
-        "p mrss 1 1 1\ns 1\n",  # missing target
-    ],
-)
-def test_parse_mrss_errors(text):
-    with pytest.raises(FormatError):
+MRSS_ERRORS = [
+    ("p mmo 2 1 3\nw 1 2 1\n", "line 1: expected `p mrss <k> <n> <k'>`"),  # wrong kind
+    ("p mrss 1 1 1\nt 1\n", "expected 1 vector lines, found 0"),  # missing vector
+    ("p mrss 1 1 1\nt 1\ns 1\ns 1\n", "expected 1 vector lines, found 2"),  # too many
+    ("p mrss 1 1 1\ns 1\n", "missing `t` target line"),
+    (
+        "p mrss 2 3 2\nt 3 3\ns 2 1\ns 1 1\ns 2 -1\n",
+        "line 5: vector entries must be non-negative",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", MRSS_ERRORS, ids=[text for text, _ in MRSS_ERRORS])
+def test_parse_mrss_errors(text, message):
+    with pytest.raises(FormatError) as info:
         parse_mrss(text)
+    assert str(info.value) == message

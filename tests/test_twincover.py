@@ -57,6 +57,7 @@ def test_decompose_caps():
     inst = Instance(g, (2, 3, 3, 1))
     d = decompose(inst, (4,))
     assert d.cliques == ((1, 2, 3),)
+    assert d.rows == ((),)  # cover vertex 4 sees no class
     assert d.caps(()) == (2,)
     # alpha(C) = 3 > m = 2: tight, one seat lost
     tight = decompose(Instance(g, (2, 2, 2, 1)), (4,))
@@ -68,6 +69,7 @@ def test_decompose_dead_guess():
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
     inst = Instance(g, (2, 2, 2, 1, 1))
     d = decompose(inst, (4, 5))
+    assert d.rows == ((0,), (0,))  # both cover vertices see the one class
     assert d.caps((4, 5)) is None
     assert d.caps(()) is not None
 
