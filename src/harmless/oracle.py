@@ -23,6 +23,7 @@ from .core import (
     bfs_distances,
     content_lines,
 )
+from .ilp import DUAL_SCALE, packing_dual
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EDGE_LIMIT = 20
@@ -102,22 +103,39 @@ def max_harmless_bruteforce(
     residual threshold (t minus chosen neighbours) at most 1; taking w
     would break that neighbour, and residuals only fall, so a blocked
     vertex stays blocked down the branch.  A neighbour of a threshold-1
-    vertex is blocked from the start and never searched.  A branch dies
-    when its size plus the number of undecided unblocked vertices cannot
-    beat the incumbent; that count is kept per branch and updated as
-    each take blocks vertices.
+    vertex is blocked from the start and never searched.
+
+    What the undecided unblocked vertices U can still add is bounded
+    twice.  The first bound is |U|.  The second is the Lagrangian bound
+    of the packing program max sum x_u subject to, for each vertex v,
+    the sum of x_u over its neighbours u in U at most r_v - 1, r the
+    residual: with integer multipliers p_v >= 0 over the denominator
+    D = DUAL_SCALE and reduced costs c_u = max(0, D - sum of p_v over
+    the neighbours v of u), lag = sum of p_v (r_v - 1) + sum of c_u over
+    U is at least D times what U can add (`ilp.packing_dual`).  This
+    holds for any p >= 0, so it is exact in integers however p was
+    found.  p and c are computed once per component, over its vertices
+    not blocked from the start.  Each branch carries |U| and lag, and
+    dies when size + |U| <= best or D * size + lag < D * (best + 1).
+    Skipping u subtracts c_u from lag; taking u subtracts c_u, p_v for
+    each neighbour v (its residual falls by one) and c_w for each
+    undecided vertex w it newly blocks.
 
     Phase one finds the optimum h by branch and bound on an explicit
-    stack, deciding vertices by degree, highest first, ties by the
-    larger id, and taking before skipping.  Phase two walks the ids
-    upwards and builds the least witness greedily, keeping a vertex
-    when the chosen prefix plus that vertex still extends to h vertices
-    among the larger ids.  It carries a size-h optimum that agrees with
-    the prefix, starting from phase one's best set: a vertex in it is
-    kept without search, and any other vertex is kept only if a search
-    of the larger ids, with incumbent h - 1 and goal h, finds a set,
-    which becomes the carried optimum.  `node_budget` caps the search
-    nodes of all components and both phases together.
+    stack, deciding vertices by reduced cost c_u, highest first, then
+    by degree, lowest first, then by id, and taking before skipping.
+    Phase two walks the ids upwards and builds the least witness
+    greedily, keeping a vertex when the chosen prefix plus that vertex
+    still extends to h vertices among the larger ids.  It carries a
+    size-h optimum that agrees with the prefix, starting from phase
+    one's best set: a vertex in it is kept without search, and any other
+    vertex is kept only if a search of the larger ids, in phase one's
+    order, with incumbent h - 1 and goal h, finds a set, which becomes
+    the carried optimum.  Both bounds prune these searches too, so the
+    size and the witness do not depend on p.  `node_budget` caps the
+    search nodes of all components and both phases together; the
+    subgradient steps behind p are counted apart, as
+    `stats["lp_iterations"]`.
     """
     graph = instance.graph
     n = graph.n
@@ -129,20 +147,19 @@ def max_harmless_bruteforce(
             for w in adjacency[u]:
                 blocked[w] += 1
     rank = [0] * (n + 1)  # position in its component's phase one order
+    price = [0] * (n + 1)  # p_v, the multiplier of v's row
+    cost = [0] * (n + 1)  # c_u, the reduced cost of u
+    stats = {"budget": node_budget, "nodes": 0, "lp_iterations": 0}
     nodes = 0
 
-    def take(v: int, stop: int, r: int) -> int:
-        # Choose v; return how many unblocked vertices it blocks among
-        # the undecided ones, those with id > stop and rank > r.
-        lost = 0
+    # phase two fixes and frees vertices outside the search loop, which
+    # does the same inline and also keeps |U| and lag
+    def take(v: int) -> None:
         for u in adjacency[v]:
             residual[u] -= 1
             if residual[u] == 1:
                 for w in adjacency[u]:
-                    if not blocked[w] and w > stop and rank[w] > r:
-                        lost += 1
                     blocked[w] += 1
-        return lost
 
     def undo(v: int) -> None:
         for u in adjacency[v]:
@@ -151,42 +168,61 @@ def max_harmless_bruteforce(
                     blocked[w] -= 1
             residual[u] += 1
 
-    def search(order: list[int], stop: int, size: int, best: int, goal: int):
-        # Decide the vertices of `order` on top of the chosen ones, which
-        # form a harmless set of `size` vertices.  Return the largest size
-        # above `best` reached (else `best`) and the vertices taken for
-        # it (else None); stop at the first set of `goal` vertices.
+    def search(component, order, stop: int, size: int, best: int, goal: int):
+        # Decide the vertices of `order`, none of them blocked yet, on
+        # top of the chosen ones, which form a harmless set of `size`
+        # vertices in `component`.  Return the largest size above `best`
+        # reached (else `best`) and the vertices taken for it (else
+        # None); stop at the first set of `goal` vertices.
         nonlocal nodes
         taken: list[int] = []
         found = None
-        stack: list = [(0, size, sum(1 for v in order if not blocked[v]))]
+        lag = sum(price[v] * (residual[v] - 1) for v in component)
+        lag += sum(map(cost.__getitem__, order))
+        stack: list = [(0, size, len(order), lag)]
         while stack:
             entry = stack.pop()
             if type(entry) is int:  # undo marker
-                undo(entry)
+                for u in adjacency[entry]:
+                    if residual[u] == 1:
+                        for w in adjacency[u]:
+                            blocked[w] -= 1
+                    residual[u] += 1
                 taken.pop()
                 continue
-            i, size, avail = entry
+            i, size, avail, lag = entry
             nodes += 1
             if nodes > node_budget:
                 raise OracleLimitError(f"oracle limit: more than {node_budget} search nodes")
             if size > best:
                 best, found = size, list(taken)
-                if size == goal:
-                    break
-            if size + avail <= best:
+                if size == goal:  # only the undo markers are left to run
+                    stack = [e for e in stack if type(e) is int]
+                    continue
+            if size + avail <= best or lag < DUAL_SCALE * (best + 1 - size):
                 continue
             # avail > 0, so an unblocked vertex is left to decide
             while blocked[order[i]]:
                 i += 1
             v = order[i]
-            stack.append((i + 1, size, avail - 1))
-            lost = take(v, stop, rank[v])
+            r = rank[v]
+            lag -= cost[v]
+            stack.append((i + 1, size, avail - 1, lag))
+            # take v: a neighbour whose residual reaches 1 blocks its
+            # neighbours, and the undecided ones among them leave U
+            lost = 0
+            for u in adjacency[v]:
+                residual[u] -= 1
+                lag -= price[u]
+                if residual[u] == 1:
+                    for w in adjacency[u]:
+                        if not blocked[w] and w > stop and rank[w] > r:
+                            lost += 1
+                            lag -= cost[w]
+                        blocked[w] += 1
             taken.append(v)
             stack.append(v)
-            stack.append((i + 1, size + 1, avail - 1 - lost))
-        for v in reversed(taken):
-            undo(v)
+            stack.append((i + 1, size + 1, avail - 1 - lost, lag))
         return best, found
 
     seen = [False] * (n + 1)
@@ -197,13 +233,18 @@ def max_harmless_bruteforce(
         component = sorted(bfs_distances(graph, source))
         for v in component:
             seen[v] = True
-        order = sorted(
-            (v for v in component if not blocked[v]),
-            key=lambda v: (-len(adjacency[v]), -v),
-        )
+        free = [v for v in component if not blocked[v]]
+        index = {v: i for i, v in enumerate(free)}
+        rows = [[index[u] for u in adjacency[v] if u in index] for v in component]
+        p, c = packing_dual(rows, [residual[v] - 1 for v in component], [1] * len(free), stats)
+        for v, x in zip(component, p):
+            price[v] = x
+        for v, x in zip(free, c):
+            cost[v] = x
+        order = sorted(free, key=lambda v: (-cost[v], len(adjacency[v]), v))
         for r, v in enumerate(order):
             rank[v] = r
-        h, found = search(order, 0, 0, 0, len(order))
+        h, found = search(component, order, 0, 0, 0, len(order))
         carried = set(found or ())
         chosen: list[int] = []
         for cur in component:
@@ -211,9 +252,10 @@ def max_harmless_bruteforce(
                 break
             if blocked[cur]:
                 continue
-            take(cur, n, 0)  # nothing is undecided while cur is fixed
+            take(cur)
             if cur not in carried:
-                size, found = search([v for v in order if v > cur], cur, len(chosen) + 1, h - 1, h)
+                rest = [v for v in order if v > cur and not blocked[v]]
+                size, found = search(component, rest, cur, len(chosen) + 1, h - 1, h)
                 if size < h:
                     undo(cur)
                     continue
@@ -223,7 +265,8 @@ def max_harmless_bruteforce(
             raise ReconstructionError("witness reconstruction lost the optimum")
         witness += chosen
     witness.sort()
-    return SolveResult(len(witness), tuple(witness), "brute", {"budget": node_budget, "nodes": nodes})
+    stats["nodes"] = nodes
+    return SolveResult(len(witness), tuple(witness), "brute", stats)
 
 
 def mmo_feasible_bruteforce(wg: WeightedGraph) -> tuple[bool, tuple[tuple[int, int], ...] | None]:

@@ -6,7 +6,7 @@ so tests can pair arbitrary thresholds with a known-good expression.
 
 import random
 
-from harmless import CExpression, Eta, Graph, Instance, Leaf, Rho, Union
+from harmless import CExpression, Eta, Graph, Instance, Leaf, Rho, Union, majority_thresholds
 
 
 def path_expr(n: int):
@@ -105,3 +105,18 @@ def random_connected_instance(rng: random.Random, n_lo=4, n_hi=12) -> Instance:
     graph = Graph(n, sorted(edges))
     thr = tuple(rng.randint(1, max(1, graph.degree(v))) for v in graph.vertices())
     return Instance(graph, thr)
+
+
+def sparse_majority(rng, n):
+    """Connected, n vertices and 2n edges (a random spanning tree plus
+    random extra edges), majority thresholds."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = set()
+    for i in range(1, n):
+        u, v = order[rng.randrange(i)], order[i]
+        edges.add((min(u, v), max(u, v)))
+    while len(edges) < 2 * n:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
+    return majority_thresholds(Graph(n, sorted(edges)))

@@ -1,6 +1,7 @@
 """Command line front end: output contract and exit codes."""
 
 import argparse
+import random
 import sys
 
 import pytest
@@ -18,6 +19,8 @@ from harmless import (
     serialize_mrss,
 )
 from harmless.cli import main
+
+from families import sparse_majority
 
 P3_TEXT = serialize_instance(Instance(Graph(3, [(1, 2), (2, 3)]), (1, 2, 1))) + "\n"
 
@@ -234,6 +237,18 @@ def test_deep_brute_search_is_answered(tmp_path, capsys):
     code, lines, err = run(capsys, "solve", str(path), "--algo", "nd")
     assert code == 0 and err == ""
     assert lines == [f"SIZE {n}", everything, "SOLVER nd"]
+
+
+def test_sparse_majority_graph_is_answered(tmp_path, capsys):
+    # 90 vertices, 180 edges, majority thresholds: no structural solver
+    # applies, and the oracle answers within its 2,000,000 default nodes
+    # only with its Lagrangian bound; tests/test_milp_crosscheck.py
+    # confirms the size
+    path = tmp_path / "g90.hs"
+    path.write_text(serialize_instance(sparse_majority(random.Random("90-0"), 90)) + "\n")
+    code, lines, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    assert lines[0] == "SIZE 31" and lines[-1] == "SOLVER brute"
 
 
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):

@@ -1,0 +1,49 @@
+"""The branch and bound oracle against an independent exact solver.
+
+The oracle answers sparse majority graphs far beyond the sizes the
+small references reach (n <= 14).  Here the same packing program, max
+sum x subject to sum of x over N(v) <= t(v) - 1 and x in {0, 1}, is
+solved by `scipy.optimize.milp` (HiGHS), and the two sizes must agree.
+Each oracle witness is checked with `is_harmless`.
+"""
+
+import random
+
+import pytest
+
+from harmless import is_harmless, max_harmless_bruteforce
+
+from families import sparse_majority
+
+np = pytest.importorskip("numpy")
+optimize = pytest.importorskip("scipy.optimize")
+
+# the family of the benchmark's hard graphs: m = 2n, majority thresholds,
+# drawn from random.Random(f"{n}-{s}"); at n = 90 the oracle answers
+# s = 0, 1 and 3 within its default budget, and s = 2 runs over it
+FAMILY = [(n, s) for n in (60, 75) for s in range(4)] + [(90, 0), (90, 1), (90, 3)]
+
+
+def milp_optimum(instance) -> int:
+    n = instance.graph.n
+    rows = np.zeros((n, n))
+    for v, nbrs in enumerate(instance.graph.neighbors):
+        for u in nbrs:
+            rows[v, u - 1] = 1
+    caps = np.array([t - 1 for t in instance.thresholds], dtype=float)
+    result = optimize.milp(
+        c=-np.ones(n),
+        constraints=optimize.LinearConstraint(rows, -np.inf, caps),
+        integrality=np.ones(n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success
+    return round(-result.fun)
+
+
+@pytest.mark.parametrize("n, s", FAMILY, ids=[f"n{n}-s{s}" for n, s in FAMILY])
+def test_oracle_matches_milp(n, s):
+    instance = sparse_majority(random.Random(f"{n}-{s}"), n)
+    result = max_harmless_bruteforce(instance)
+    assert result.size == len(result.witness) == milp_optimum(instance)
+    assert is_harmless(instance, result.witness)

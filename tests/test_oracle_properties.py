@@ -1,14 +1,17 @@
-"""Property tests for the branch and bound oracle, plus pinned work counts."""
+"""Property tests for the branch and bound oracle and its Lagrangian
+bound, plus pinned work counts."""
 
 import functools
 import itertools
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from harmless import Graph, Instance, is_harmless, majority_thresholds, max_harmless_bruteforce
+from harmless.ilp import DUAL_SCALE, packing_dual
 
-from families import random_connected_instance, random_instance
+from families import random_connected_instance, random_instance, sparse_majority
 from oracle_reference import reference_bruteforce
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -58,21 +61,6 @@ def relabelled_unions(draw):
         parts.append(majority_thresholds(part.graph) if draw(st.booleans()) else part)
     union = functools.reduce(disjoint_union, parts)
     return relabel(union, draw(st.permutations(range(1, union.graph.n + 1))))
-
-
-def sparse_majority(rng, n):
-    """Connected, n vertices and 2n edges (a random spanning tree plus
-    random extra edges), majority thresholds."""
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    edges = set()
-    for i in range(1, n):
-        u, v = order[rng.randrange(i)], order[i]
-        edges.add((min(u, v), max(u, v)))
-    while len(edges) < 2 * n:
-        u, v = rng.sample(range(1, n + 1), 2)
-        edges.add((min(u, v), max(u, v)))
-    return majority_thresholds(Graph(n, sorted(edges)))
 
 
 @PROPERTY
@@ -130,6 +118,66 @@ def test_matches_reference_oracle(inst):
     assert (got.size, got.witness) == (want.size, want.witness)
 
 
+def packing_form(inst):
+    """The harmless set program of the whole graph in the packing form:
+    row v caps the neighbours of v at t(v) - 1, each vertex a 0/1
+    variable (vertex v is variable v - 1)."""
+    rows = [[u - 1 for u in nbrs] for nbrs in inst.graph.neighbors]
+    return rows, [t - 1 for t in inst.thresholds], [1] * inst.graph.n
+
+
+def reduced_costs(rows, p, nvars):
+    spent = [0] * nvars
+    for row, x in zip(rows, p):
+        for i in row:
+            spent[i] += x
+    return [max(0, DUAL_SCALE - s) for s in spent]
+
+
+def multipliers(count):
+    return st.lists(st.integers(0, 2 * DUAL_SCALE), min_size=count, max_size=count)
+
+
+def root_value(bounds, p, c):
+    return sum(x * b for x, b in zip(p, bounds)) + sum(c)
+
+
+@PROPERTY
+@given(instances())
+def test_dual_bound_covers_optimum(inst):
+    rows, bounds, upper = packing_form(inst)
+    stats = {}
+    p, c = packing_dual(rows, bounds, upper, stats)
+    assert all(type(x) is int and x >= 0 for x in p)
+    assert c == reduced_costs(rows, p, len(upper))
+    assert stats["lp_iterations"] <= len(upper) // 2
+    assert root_value(bounds, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_any_multipliers_bound_optimum(inst, data):
+    rows, bounds, upper = packing_form(inst)
+    p = data.draw(multipliers(len(rows)))
+    c = reduced_costs(rows, p, len(upper))
+    assert root_value(bounds, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
+
+
+@PROPERTY
+@given(relabelled_unions(), st.data())
+def test_exact_under_any_multipliers(inst, data):
+    # the bound holds for every p >= 0, so multipliers drawn at random
+    # move only the order and the node count, never the answer
+    def drawn(rows, bounds, upper, stats):
+        p = data.draw(multipliers(len(rows)))
+        return p, reduced_costs(rows, p, len(upper))
+
+    with mock.patch("harmless.oracle.packing_dual", drawn):
+        got = max_harmless_bruteforce(inst)
+    want = reference_bruteforce(inst)
+    assert (got.size, got.witness) == (want.size, want.witness)
+
+
 def test_small_components_do_not_multiply():
     # four sparse majority graphs side by side, relabelled: searched as
     # one graph, their branches multiply to over 2,000,000 nodes
@@ -166,33 +214,33 @@ def pinned_instances():
 PINNED = {
     ("empty", 0): (0, ()),
     ("edgeless", 0): (10, (1, 2, 3, 4, 5)),
-    ("clique", 0): (9, (1, 4)),
-    ("random", 0): (34, (1, 2, 3, 10, 11)),
-    ("random", 1): (13, (1, 2, 5, 7)),
-    ("random", 2): (9, (3, 4, 6)),
-    ("random", 3): (14, (2, 6, 9)),
-    ("random", 4): (37, (1, 2, 3)),
-    ("random", 5): (5, (4, 7)),
-    ("random", 6): (14, (1, 2, 3, 6)),
-    ("random", 7): (18, (1, 6, 8)),
+    ("clique", 0): (5, (1, 4)),
+    ("random", 0): (13, (1, 2, 3, 10, 11)),
+    ("random", 1): (12, (1, 2, 5, 7)),
+    ("random", 2): (8, (3, 4, 6)),
+    ("random", 3): (7, (2, 6, 9)),
+    ("random", 4): (10, (1, 2, 3)),
+    ("random", 5): (8, (4, 7)),
+    ("random", 6): (9, (1, 2, 3, 6)),
+    ("random", 7): (11, (1, 6, 8)),
     ("random", 8): (13, (1, 2, 3, 7, 8)),
-    ("random", 9): (12, (1, 5, 7, 9, 12)),
+    ("random", 9): (14, (1, 5, 7, 9, 12)),
     ("connected", 0): (2, (6,)),
-    ("connected", 1): (17, (1, 4, 10)),
-    ("connected", 2): (18, (1, 2, 3, 7)),
+    ("connected", 1): (10, (1, 4, 10)),
+    ("connected", 2): (9, (1, 2, 3, 7)),
     ("connected", 3): (5, (2, 4, 7, 9)),
-    ("connected", 4): (16, (1, 2, 5, 7)),
-    ("connected", 5): (14, (2, 7, 8)),
-    ("connected", 6): (13, (2, 5, 6)),
+    ("connected", 4): (10, (1, 2, 5, 7)),
+    ("connected", 5): (7, (2, 7, 8)),
+    ("connected", 6): (7, (2, 5, 6)),
     ("connected", 7): (3, (5, 9)),
-    ("connected", 8): (10, (1, 4)),
-    ("connected", 9): (4, (1,)),
-    ("majority", 0): (170, (1, 3, 4, 5, 13, 15, 17)),
-    ("majority", 1): (255, (1, 5, 6, 12, 13, 14, 15, 19)),
-    ("majority", 2): (134, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
-    ("majority", 3): (190, (2, 3, 6, 9, 10, 12, 19, 21)),
-    ("majority", 4): (655, (2, 3, 5, 16, 19, 20, 24, 25)),
-    ("majority", 5): (691, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
+    ("connected", 8): (5, (1, 4)),
+    ("connected", 9): (3, (1,)),
+    ("majority", 0): (18, (1, 3, 4, 5, 13, 15, 17)),
+    ("majority", 1): (23, (1, 5, 6, 12, 13, 14, 15, 19)),
+    ("majority", 2): (47, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
+    ("majority", 3): (23, (2, 3, 6, 9, 10, 12, 19, 21)),
+    ("majority", 4): (53, (2, 3, 5, 16, 19, 20, 24, 25)),
+    ("majority", 5): (72, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
 }
 
 
