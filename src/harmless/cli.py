@@ -5,8 +5,8 @@ errors, 2 when a search budget or the recursion depth limit was
 exhausted, 3 when a solver's witness failed its own re-verification (an
 internal error).  With --machine every output line is a single
 key=value pair.  `--budget` caps the oracle's search nodes only: the
-subgradient steps that set up its Lagrangian bound, reported as
-`stats["lp_iterations"]` of the result, are not charged to it.
+coordinate-descent sweeps that set up its Lagrangian bound, reported
+as `stats["lp_iterations"]` of the result, are not charged to it.
 """
 
 from __future__ import annotations

@@ -115,8 +115,10 @@ def max_harmless_bruteforce(
     U is at least D times what U can add (`ilp.packing_dual`).  This
     holds for any p >= 0, so it is exact in integers however p was
     found.  p and c are computed once per component, over its vertices
-    not blocked from the start.  Each branch carries |U| and lag, and
-    dies when size + |U| <= best or D * size + lag < D * (best + 1).
+    not blocked from the start, by exact coordinate descent on the
+    Lagrangian, which never raises the bound from one sweep to the
+    next.  Each branch carries |U| and lag, and dies when
+    size + |U| <= best or D * size + lag < D * (best + 1).
     Skipping u subtracts c_u from lag; taking u subtracts c_u, p_v for
     each neighbour v (its residual falls by one) and c_w for each
     undecided vertex w it newly blocks.
@@ -134,8 +136,7 @@ def max_harmless_bruteforce(
     the carried optimum.  Both bounds prune these searches too, so the
     size and the witness do not depend on p.  `node_budget` caps the
     search nodes of all components and both phases together; the
-    subgradient steps behind p are counted apart, as
-    `stats["lp_iterations"]`.
+    sweeps behind p are counted apart, as `stats["lp_iterations"]`.
     """
     graph = instance.graph
     n = graph.n

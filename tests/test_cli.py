@@ -13,6 +13,7 @@ from harmless import (
     MrssInstance,
     ReconstructionError,
     WeightedGraph,
+    is_harmless,
     parse_instance,
     serialize_instance,
     serialize_mmo,
@@ -249,6 +250,26 @@ def test_sparse_majority_graph_is_answered(tmp_path, capsys):
     code, lines, err = run(capsys, "solve", str(path))
     assert code == 0 and err == ""
     assert lines[0] == "SIZE 31" and lines[-1] == "SOLVER brute"
+
+
+def test_threshold_two_path_is_answered(tmp_path, capsys):
+    # a vertex of threshold 2 tolerates one chosen neighbour, so at most
+    # half of the path can be chosen, which is also the LP optimum; no
+    # structural solver applies, and the oracle answers within its
+    # default budget only when its Lagrangian bound comes close to that
+    n = 3000
+    path = tmp_path / "p3000.hs"
+    path.write_text(
+        f"p hs {n} {n - 1}\n"
+        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    )
+    code, lines, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    assert lines[0] == "SIZE 1500" and lines[-1] == "SOLVER brute"
+    chosen = [int(v) for v in lines[1].split()[1:]]
+    assert len(chosen) == 1500
+    assert is_harmless(Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [2] * n), chosen)
 
 
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):

@@ -8,8 +8,15 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from harmless import Graph, Instance, is_harmless, majority_thresholds, max_harmless_bruteforce
-from harmless.ilp import DUAL_SCALE, packing_dual
+from harmless import (
+    Graph,
+    Instance,
+    is_harmless,
+    majority_thresholds,
+    max_harmless_bruteforce,
+    maximize,
+)
+from harmless.ilp import DUAL_SCALE, DUAL_SWEEPS, packing_dual
 
 from families import random_connected_instance, random_instance, sparse_majority
 from oracle_reference import reference_bruteforce
@@ -138,8 +145,12 @@ def multipliers(count):
     return st.lists(st.integers(0, 2 * DUAL_SCALE), min_size=count, max_size=count)
 
 
-def root_value(bounds, p, c):
-    return sum(x * b for x, b in zip(p, bounds)) + sum(c)
+def lagrangian(bounds, upper, p, c):
+    return sum(x * b for x, b in zip(p, bounds)) + sum(u * x for u, x in zip(upper, c))
+
+
+def sweep_cap(nvars):
+    return min(max(1, nvars // 3, nvars * nvars // 100), DUAL_SWEEPS)
 
 
 @PROPERTY
@@ -150,8 +161,9 @@ def test_dual_bound_covers_optimum(inst):
     p, c = packing_dual(rows, bounds, upper, stats)
     assert all(type(x) is int and x >= 0 for x in p)
     assert c == reduced_costs(rows, p, len(upper))
-    assert stats["lp_iterations"] <= len(upper) // 2
-    assert root_value(bounds, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
+    # within the cap, and no sweep at all for the empty model
+    assert stats["lp_iterations"] <= (sweep_cap(len(upper)) if upper else 0)
+    assert lagrangian(bounds, upper, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
 
 
 @PROPERTY
@@ -160,7 +172,7 @@ def test_any_multipliers_bound_optimum(inst, data):
     rows, bounds, upper = packing_form(inst)
     p = data.draw(multipliers(len(rows)))
     c = reduced_costs(rows, p, len(upper))
-    assert root_value(bounds, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
+    assert lagrangian(bounds, upper, p, c) >= DUAL_SCALE * reference_bruteforce(inst).size
 
 
 @PROPERTY
@@ -176,6 +188,68 @@ def test_exact_under_any_multipliers(inst, data):
         got = max_harmless_bruteforce(inst)
     want = reference_bruteforce(inst)
     assert (got.size, got.witness) == (want.size, want.witness)
+
+
+@st.composite
+def packing_models(draw, max_vars=6):
+    """Packing programs over variables with upper bounds 0-3, each row
+    listing distinct variables."""
+    n = draw(st.integers(0, max_vars))
+    upper = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    row = st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
+    rows = draw(st.lists(row, max_size=6))
+    bounds = draw(st.lists(st.integers(0, 6), min_size=len(rows), max_size=len(rows)))
+    return rows, bounds, upper
+
+
+@PROPERTY
+@given(packing_models())
+def test_dual_bound_covers_packing_optimum(model):
+    rows, bounds, upper = model
+    stats = {}
+    p, c = packing_dual(rows, bounds, upper, stats)
+    assert all(type(x) is int and x >= 0 for x in p)
+    assert c == reduced_costs(rows, p, len(upper))
+    assert stats["lp_iterations"] <= sweep_cap(len(upper))
+    best = maximize(rows, bounds, [0] * len(upper), upper)
+    assert lagrangian(bounds, upper, p, c) >= DUAL_SCALE * sum(best)
+
+
+@PROPERTY
+@given(packing_models(max_vars=12))
+def test_dual_bound_never_rises(model):
+    # capping the sweeps at 0, 1, 2, ... gives bounds that never rise,
+    # starting from the bound at p = 0
+    rows, bounds, upper = model
+    values = []
+    for cap in range(6):
+        with mock.patch("harmless.ilp.DUAL_SWEEPS", cap):
+            p, c = packing_dual(rows, bounds, upper)
+        values.append(lagrangian(bounds, upper, p, c))
+    assert values[0] == DUAL_SCALE * sum(upper)
+    assert values == sorted(values, reverse=True)
+
+
+@PROPERTY
+@given(packing_models(max_vars=12))
+def test_settled_dual_is_coordinatewise_minimal(model):
+    # variables in no row only add a constant to L, but they lift the
+    # sweep cap to DUAL_SWEEPS, so the descent runs until a sweep
+    # changes nothing; then no single p[r] + 1 or p[r] - 1 lowers L
+    rows, bounds, upper = model
+    padded = upper + [1] * 80
+    stats = {}
+    p, c = packing_dual(rows, bounds, padded, stats)
+    assert stats["lp_iterations"] < DUAL_SWEEPS
+
+    def value(q):
+        return lagrangian(bounds, padded, q, reduced_costs(rows, q, len(padded)))
+
+    least = lagrangian(bounds, padded, p, c)
+    for r, x in enumerate(p):
+        for y in (x - 1, x + 1):
+            if y >= 0:
+                assert value(p[:r] + [y] + p[r + 1:]) >= least
 
 
 def test_small_components_do_not_multiply():
@@ -235,12 +309,12 @@ PINNED = {
     ("connected", 7): (3, (5, 9)),
     ("connected", 8): (5, (1, 4)),
     ("connected", 9): (3, (1,)),
-    ("majority", 0): (18, (1, 3, 4, 5, 13, 15, 17)),
+    ("majority", 0): (16, (1, 3, 4, 5, 13, 15, 17)),
     ("majority", 1): (23, (1, 5, 6, 12, 13, 14, 15, 19)),
-    ("majority", 2): (47, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
-    ("majority", 3): (23, (2, 3, 6, 9, 10, 12, 19, 21)),
-    ("majority", 4): (53, (2, 3, 5, 16, 19, 20, 24, 25)),
-    ("majority", 5): (72, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
+    ("majority", 2): (41, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
+    ("majority", 3): (21, (2, 3, 6, 9, 10, 12, 19, 21)),
+    ("majority", 4): (95, (2, 3, 5, 16, 19, 20, 24, 25)),
+    ("majority", 5): (140, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
 }
 
 
