@@ -22,6 +22,10 @@ class ReconstructionError(RuntimeError):
     """A solver's witness failed re-verification; never silently ignored."""
 
 
+class OracleLimitError(RuntimeError):
+    """The search exceeded its work budget before finishing."""
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n.
 

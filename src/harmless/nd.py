@@ -5,8 +5,8 @@ an equivalence, and each class is either a clique (adjacent true twins)
 or an independent set (false twins).  With w classes the solver tries,
 for every clique class, whether the solution takes fewer than alpha(C)
 of its cheapest-threshold vertices or at least that many, and solves one
-small integer program per guess, so the work is 2^(#clique classes)
-times a w-variable program instead of 2^n.
+small integer program per guess with `ilp.maximize`, so the work is
+2^(#clique classes) times a w-variable program instead of 2^n.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def _select_members(
 
 
 def solve_nd(instance: Instance) -> SolveResult:
-    """Maximum harmless set via the type-graph integer programs."""
+    """Maximum harmless set via the type-graph integer programs; each
+    guess passes the best size so far as the engine's floor."""
     partition = nd_partition(instance.graph)
     clique_classes = [
         i for i in range(partition.width) if partition.kinds[i] == "clique"
@@ -158,16 +159,16 @@ def solve_nd(instance: Instance) -> SolveResult:
     rows = nd_rows(partition)
     class_stats = [class_threshold_stats(instance, members) for members in partition.classes]
     stats: dict = {"classes": partition.width, "guesses": 0}
-    best: tuple[int, tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...]] = (-1, ())
     for bits in range(1 << len(clique_classes)):
         saturating = frozenset(
             clique_classes[j] for j in range(len(clique_classes)) if bits >> j & 1
         )
         stats["guesses"] += 1
-        counts = maximize(rows, *nd_bounds(partition, class_stats, saturating), stats)
-        if counts is not None and (best is None or sum(counts) > best[0]):
+        counts = maximize(rows, *nd_bounds(partition, class_stats, saturating), stats, best[0])
+        if counts is not None:
             best = (sum(counts), counts)
-    if best is None:
+    if best[0] < 0:
         raise ReconstructionError("no feasible guess; the empty set was lost")
     witness = _select_members(instance, partition, best[1])
     if len(witness) != best[0] or not is_harmless(instance, witness):

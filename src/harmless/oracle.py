@@ -18,20 +18,15 @@ from .core import (
     FormatError,
     Graph,
     Instance,
-    ReconstructionError,
+    OracleLimitError,
     SolveResult,
-    bfs_distances,
     content_lines,
 )
-from .ilp import DUAL_SCALE, packing_dual
+from .ilp import maximize
 
 DEFAULT_NODE_BUDGET = 2_000_000
 EDGE_LIMIT = 20
 VECTOR_LIMIT = 20
-
-
-class OracleLimitError(RuntimeError):
-    """The search exceeded its work budget before finishing."""
 
 
 @dataclass(frozen=True)
@@ -91,183 +86,23 @@ def max_harmless_bruteforce(
 ) -> SolveResult:
     """Maximum harmless set size plus its lexicographically least witness.
 
-    Each connected component is solved on its own: the optimum is the
-    sum of the per-component optima, and the witness is the union of
-    the per-component lexicographically least witnesses.  That union is
-    the least set of its size overall, because for sets A and B of equal
-    size A < B iff min(A xor B) lies in A, and min(A xor B) lies in one
-    component, where A and B differ as two sets of that component's
-    optimum size.
-
-    Within a component, vertex w is blocked while some neighbour has
-    residual threshold (t minus chosen neighbours) at most 1; taking w
-    would break that neighbour, and residuals only fall, so a blocked
-    vertex stays blocked down the branch.  A neighbour of a threshold-1
-    vertex is blocked from the start and never searched.
-
-    What the undecided unblocked vertices U can still add is bounded
-    twice.  The first bound is |U|.  The second is the Lagrangian bound
-    of the packing program max sum x_u subject to, for each vertex v,
-    the sum of x_u over its neighbours u in U at most r_v - 1, r the
-    residual: with integer multipliers p_v >= 0 over the denominator
-    D = DUAL_SCALE and reduced costs c_u = max(0, D - sum of p_v over
-    the neighbours v of u), lag = sum of p_v (r_v - 1) + sum of c_u over
-    U is at least D times what U can add (`ilp.packing_dual`).  This
-    holds for any p >= 0, so it is exact in integers however p was
-    found.  p and c are computed once per component, over its vertices
-    not blocked from the start, by exact coordinate descent on the
-    Lagrangian, which never raises the bound from one sweep to the
-    next.  Each branch carries |U| and lag, and dies when
-    size + |U| <= best or D * size + lag < D * (best + 1).
-    Skipping u subtracts c_u from lag; taking u subtracts c_u, p_v for
-    each neighbour v (its residual falls by one) and c_w for each
-    undecided vertex w it newly blocks.
-
-    Phase one finds the optimum h by branch and bound on an explicit
-    stack, deciding vertices by reduced cost c_u, highest first, then
-    by degree, lowest first, then by id, and taking before skipping.
-    Phase two walks the ids upwards and builds the least witness
-    greedily, keeping a vertex when the chosen prefix plus that vertex
-    still extends to h vertices among the larger ids.  It carries a
-    size-h optimum that agrees with the prefix, starting from phase
-    one's best set: a vertex in it is kept without search, and any other
-    vertex is kept only if a search of the larger ids, in phase one's
-    order, with incumbent h - 1 and goal h, finds a set, which becomes
-    the carried optimum.  Both bounds prune these searches too, so the
-    size and the witness do not depend on p.  `node_budget` caps the
-    search nodes of all components and both phases together; the
-    sweeps behind p are counted apart, as `stats["lp_iterations"]`.
+    S is harmless exactly when every vertex v has at most t(v) - 1
+    neighbours in S: the packing program of `ilp.maximize` with a 0/1
+    variable per vertex v, numbered v (variable 0 has upper bound 0), and
+    a row per vertex v on N(v) with bound t(v) - 1, solved by that
+    engine.  Its lexicographically greatest optimal vector is the least
+    witness: for sets A and B of equal size A < B iff min(A xor B) lies
+    in A, where A's vector has the 1.  `node_budget` caps the engine's
+    search nodes, reported as `stats["nodes"]`; the dual's sweeps are
+    counted apart, as `stats["lp_iterations"]`.
     """
-    graph = instance.graph
-    n = graph.n
-    adjacency = [(), *map(tuple, graph.neighbors)]
-    residual = [0, *instance.thresholds]
-    blocked = [0] * (n + 1)
-    for u in graph.vertices():
-        if residual[u] == 1:
-            for w in adjacency[u]:
-                blocked[w] += 1
-    rank = [0] * (n + 1)  # position in its component's phase one order
-    price = [0] * (n + 1)  # p_v, the multiplier of v's row
-    cost = [0] * (n + 1)  # c_u, the reduced cost of u
-    stats = {"budget": node_budget, "nodes": 0, "lp_iterations": 0}
-    nodes = 0
-
-    # phase two fixes and frees vertices outside the search loop, which
-    # does the same inline and also keeps |U| and lag
-    def take(v: int) -> None:
-        for u in adjacency[v]:
-            residual[u] -= 1
-            if residual[u] == 1:
-                for w in adjacency[u]:
-                    blocked[w] += 1
-
-    def undo(v: int) -> None:
-        for u in adjacency[v]:
-            if residual[u] == 1:
-                for w in adjacency[u]:
-                    blocked[w] -= 1
-            residual[u] += 1
-
-    def search(component, order, stop: int, size: int, best: int, goal: int):
-        # Decide the vertices of `order`, none of them blocked yet, on
-        # top of the chosen ones, which form a harmless set of `size`
-        # vertices in `component`.  Return the largest size above `best`
-        # reached (else `best`) and the vertices taken for it (else
-        # None); stop at the first set of `goal` vertices.
-        nonlocal nodes
-        taken: list[int] = []
-        found = None
-        lag = sum(price[v] * (residual[v] - 1) for v in component)
-        lag += sum(map(cost.__getitem__, order))
-        stack: list = [(0, size, len(order), lag)]
-        while stack:
-            entry = stack.pop()
-            if type(entry) is int:  # undo marker
-                for u in adjacency[entry]:
-                    if residual[u] == 1:
-                        for w in adjacency[u]:
-                            blocked[w] -= 1
-                    residual[u] += 1
-                taken.pop()
-                continue
-            i, size, avail, lag = entry
-            nodes += 1
-            if nodes > node_budget:
-                raise OracleLimitError(f"oracle limit: more than {node_budget} search nodes")
-            if size > best:
-                best, found = size, list(taken)
-                if size == goal:  # only the undo markers are left to run
-                    stack = [e for e in stack if type(e) is int]
-                    continue
-            if size + avail <= best or lag < DUAL_SCALE * (best + 1 - size):
-                continue
-            # avail > 0, so an unblocked vertex is left to decide
-            while blocked[order[i]]:
-                i += 1
-            v = order[i]
-            r = rank[v]
-            lag -= cost[v]
-            stack.append((i + 1, size, avail - 1, lag))
-            # take v: a neighbour whose residual reaches 1 blocks its
-            # neighbours, and the undecided ones among them leave U
-            lost = 0
-            for u in adjacency[v]:
-                residual[u] -= 1
-                lag -= price[u]
-                if residual[u] == 1:
-                    for w in adjacency[u]:
-                        if not blocked[w] and w > stop and rank[w] > r:
-                            lost += 1
-                            lag -= cost[w]
-                        blocked[w] += 1
-            taken.append(v)
-            stack.append(v)
-            stack.append((i + 1, size + 1, avail - 1 - lost, lag))
-        return best, found
-
-    seen = [False] * (n + 1)
-    witness: list[int] = []
-    for source in graph.vertices():
-        if seen[source]:
-            continue
-        component = sorted(bfs_distances(graph, source))
-        for v in component:
-            seen[v] = True
-        free = [v for v in component if not blocked[v]]
-        index = {v: i for i, v in enumerate(free)}
-        rows = [[index[u] for u in adjacency[v] if u in index] for v in component]
-        p, c = packing_dual(rows, [residual[v] - 1 for v in component], [1] * len(free), stats)
-        for v, x in zip(component, p):
-            price[v] = x
-        for v, x in zip(free, c):
-            cost[v] = x
-        order = sorted(free, key=lambda v: (-cost[v], len(adjacency[v]), v))
-        for r, v in enumerate(order):
-            rank[v] = r
-        h, found = search(component, order, 0, 0, 0, len(order))
-        carried = set(found or ())
-        chosen: list[int] = []
-        for cur in component:
-            if len(chosen) == h:
-                break
-            if blocked[cur]:
-                continue
-            take(cur)
-            if cur not in carried:
-                rest = [v for v in order if v > cur and not blocked[v]]
-                size, found = search(component, rest, cur, len(chosen) + 1, h - 1, h)
-                if size < h:
-                    undo(cur)
-                    continue
-                carried = {*chosen, cur, *found}
-            chosen.append(cur)
-        if len(chosen) != h:
-            raise ReconstructionError("witness reconstruction lost the optimum")
-        witness += chosen
-    witness.sort()
-    stats["nodes"] = nodes
-    return SolveResult(len(witness), tuple(witness), "brute", stats)
+    n = instance.graph.n
+    bounds = [0, *(t - 1 for t in instance.thresholds)]
+    stats = {"budget": node_budget}
+    vector = maximize([(), *instance.graph.neighbors], bounds, [0] * (n + 1), [0] + [1] * n, stats)
+    stats["nodes"] = stats.pop("ilp_nodes")
+    witness = tuple(v for v, x in enumerate(vector) if x)
+    return SolveResult(len(witness), witness, "brute", stats)
 
 
 def mmo_feasible_bruteforce(wg: WeightedGraph) -> tuple[bool, tuple[tuple[int, int], ...] | None]:

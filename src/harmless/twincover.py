@@ -7,7 +7,7 @@ same neighbourhood inside X.  The solver sweeps the 2^|X| choices of
 S_X = S & X; for each choice every leftover clique gets a capacity on
 how many of its vertices may join S, cliques with identical
 X-neighbourhoods are pooled into one integer variable, and a small
-integer program distributes the rest.
+integer program, solved by `ilp.maximize`, distributes the rest.
 """
 
 from __future__ import annotations
@@ -160,14 +160,15 @@ def _distribute(
 
 
 def solve_twincover(instance: Instance, cover) -> SolveResult:
-    """Maximum harmless set via the 2^|X| sweep over S_X."""
+    """Maximum harmless set via the 2^|X| sweep over S_X; each live guess
+    passes the best total so far less |S_X| as the engine's floor."""
     graph = instance.graph
     xs = tuple(sorted(set(cover)))
     if not is_twin_cover(graph, xs):
         raise ValueError(f"{list(xs)} is not a twin cover")
     decomp = decompose(instance, xs)
     stats: dict = {"cover_size": len(xs), "guesses": 0, "dead_guesses": 0}
-    best: tuple[int, tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...]] = (-1, ())
     for bits in range(1 << len(xs)):
         s_x = tuple(xs[j] for j in range(len(xs)) if bits >> j & 1)
         stats["guesses"] += 1
@@ -176,19 +177,18 @@ def solve_twincover(instance: Instance, cover) -> SolveResult:
             stats["dead_guesses"] += 1
             continue
         sx = set(s_x)
-        bounds = [
-            instance.threshold(u) - 1 - len(graph.neighbors[u - 1] & sx) for u in xs
-        ]
-        upper = [sum(caps[idx] for idx in cls) for cls in decomp.classes]
-        counts = maximize(decomp.rows, bounds, [0] * len(upper), upper, stats)
-        if counts is None:
+        bounds = [instance.threshold(u) - 1 - len(graph.neighbors[u - 1] & sx) for u in xs]
+        if min(bounds, default=0) < 0:  # S_X alone overwhelms a cover vertex
             stats["dead_guesses"] += 1
             continue
-        total = len(s_x) + sum(counts)
-        if best is None or total > best[0]:
+        upper = [sum(caps[idx] for idx in cls) for cls in decomp.classes]
+        floor = best[0] - len(s_x)
+        counts = maximize(decomp.rows, bounds, [0] * len(upper), upper, stats, floor)
+        if counts is not None:
+            total = len(s_x) + sum(counts)
             witness = tuple(sorted(list(s_x) + _distribute(decomp, caps, counts, instance)))
             best = (total, witness)
-    if best is None:
+    if best[0] < 0:
         raise ReconstructionError("every guess died; the empty set was lost")
     size, witness = best
     if len(witness) != size or not is_harmless(instance, witness):

@@ -120,3 +120,29 @@ def sparse_majority(rng, n):
         u, v = rng.sample(range(1, n + 1), 2)
         edges.add((min(u, v), max(u, v)))
     return majority_thresholds(Graph(n, sorted(edges)))
+
+
+def planted_twin_cover(rng, cover, cliques, shapes, size_hi, low) -> Instance:
+    """Cover vertices 1..cover, then cliques of 1..size_hi vertices whose
+    neighbourhood in the cover is one of `shapes` random subsets, so
+    1..cover is a twin cover; each threshold is drawn from
+    [low * d(v), d(v)], at least 1.  The same draws as the benchmark's
+    generator of the same name."""
+    nbhds = [
+        [x for x in range(1, cover + 1) if rng.random() < 0.5] or [rng.randint(1, cover)]
+        for _ in range(shapes)
+    ]
+    edges = [
+        (a, b) for a in range(1, cover + 1) for b in range(a + 1, cover + 1) if rng.random() < 0.3
+    ]
+    nxt = cover + 1
+    for _ in range(cliques):
+        size = rng.randint(1, size_hi)
+        group = list(range(nxt, nxt + size))
+        nxt += size
+        edges += [(a, b) for x, a in enumerate(group) for b in group[x + 1:]]
+        edges += [(x, a) for x in rng.choice(nbhds) for a in group]
+    graph = Graph(nxt - 1, edges)
+    return Instance(
+        graph, [max(1, int(d * rng.uniform(low, 1.0))) for d in map(len, graph.neighbors)]
+    )

@@ -4,11 +4,12 @@ This is the general solver the package shipped before every model it
 solved took the packing form of `harmless.ilp.maximize`: integer
 coefficients of any sign, an arbitrary objective, named variables with
 validated bounds, and a depth-first search that recurses once per
-variable.  On a packing model (0/1 rows, a unit objective, lower bounds
-of at least 0) it visits the same nodes in the same order as the
-package's solver, so both the optimum it reports and its `ilp_nodes`
-count must match; the side-row references in
-`test_guess_encoding.py` also solve through it.
+variable.  Among equal optima it reports the lexicographically greatest
+assignment, as the package's engine does, so on a packing model (0/1
+rows, a unit objective, lower bounds of at least 0) both must report
+the same assignment; their node counts belong to different searches.
+The side-row references in `test_guess_encoding.py` also solve through
+it.
 """
 
 from __future__ import annotations

@@ -272,6 +272,24 @@ def test_threshold_two_path_is_answered(tmp_path, capsys):
     assert is_harmless(Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [2] * n), chosen)
 
 
+def test_nd_on_a_threshold_two_path_is_answered(tmp_path, capsys):
+    # one twin class per vertex, each row x[v-1] + x[v+1] <= 1; the row
+    # sum cut alone once took 4^(n/2) nodes here, the dual bound and the
+    # split of the odd and even positions answer at once
+    n = 200
+    path = tmp_path / "p200.hs"
+    path.write_text(
+        f"p hs {n} {n - 1}\n"
+        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    )
+    code, lines, err = run(capsys, "solve", str(path), "--algo", "nd")
+    assert code == 0 and err == ""
+    assert lines[0] == "SIZE 100" and lines[-1] == "SOLVER nd"
+    chosen = [int(v) for v in lines[1].split()[1:]]
+    assert is_harmless(Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [2] * n), chosen)
+
+
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
     # find_twin_cover still recurses once per cover vertex, under
     # analyze, auto and a twin cover solve without --cover

@@ -1,5 +1,6 @@
-"""Exact packing ILP engine, cross-checked against full lattice
-enumeration and against the general reference solver."""
+"""The packing engine, cross-checked against full lattice enumeration
+and against the general reference solver, with its floor, its split
+into components and its node budget."""
 
 import itertools
 import random
@@ -7,8 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from harmless import maximize
+from harmless import OracleLimitError, maximize
 from ilp_reference import maximize as reference_maximize, packing_model
 
 
@@ -59,12 +61,13 @@ def test_deep_model_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        got = maximize(rows, [3] * (n - 1), [0] * n, upper, stats)
+        got = maximize(rows, [2] * (n - 1), [0] * n, upper, stats)
     finally:
         sys.setrecursionlimit(limit)
-    assert got == tuple(upper)
-    # the root, the path down, then every lower value cut at once
-    assert stats["ilp_nodes"] == 1 + n + sum(upper)
+    assert got == (1,) * n
+    # the root, then phase one's single dive of n + 1 nodes straight to
+    # the optimum, which phase two keeps without a search
+    assert stats["ilp_nodes"] == n + 2
 
 
 def random_packing(rng, max_vars, lower_hi, span_hi, bound_lo, bound_hi):
@@ -120,12 +123,65 @@ def test_reported_optimum_is_lex_greatest():
 
 
 def test_matches_reference_solver():
-    # same assignment and same node count as the general solver
+    # the same assignment as the general solver; its node count belongs
+    # to a different search and is not compared
     rng = random.Random(43)
     for _ in range(2000):
         model = random_packing(rng, 6, 2, 4, -1, 8)
-        stats, ref_stats = {}, {}
-        got = maximize(*model, stats)
-        want = reference_maximize(packing_model(*model), ref_stats)
-        assert got == (None if want is None else want.assignment)
-        assert stats == ref_stats
+        want = reference_maximize(packing_model(*model))
+        assert maximize(*model) == (None if want is None else want.assignment)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def boxed_models(draw, max_vars=5):
+    """Packing models whose variables have lower bounds up to 2 and upper
+    bounds up to 3, with up to five rows of distinct variables and bounds
+    from -2 up."""
+    n = draw(st.integers(0, max_vars))
+    lower = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    upper = [draw(st.integers(lo, 3)) for lo in lower]
+    row = st.lists(st.integers(0, n - 1), unique=True) if n else st.just([])
+    rows = draw(st.lists(row, max_size=5))
+    bounds = draw(st.lists(st.integers(-2, 9), min_size=len(rows), max_size=len(rows)))
+    return rows, bounds, lower, upper
+
+
+@PROPERTY
+@given(boxed_models(), st.data())
+def test_engine_is_the_lattice_optimum_above_the_floor(model, data):
+    want = lattice_optimum(*model)
+    assert maximize(*model) == (None if want is None else want[1])
+    floor = data.draw(st.integers(-1, sum(model[3]) + 1))
+    beats = want is not None and want[0] > floor
+    assert maximize(*model, None, floor) == (want[1] if beats else None)
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.data())
+def test_split_model_gives_the_lex_greatest_optimum(n, data):
+    # the rows of a path whose thresholds are all 2: vertex v caps its
+    # neighbours at 1, so the odd and the even positions form separate
+    # components, which the relabelling interleaves in index order
+    perm = data.draw(st.permutations(range(n)))
+    rows = [[perm[u] for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    model = rows, [1] * n, [0] * n, [1] * n
+    assert maximize(*model) == lattice_optimum(*model)[1]
+
+
+@PROPERTY
+@given(boxed_models(max_vars=6), st.data())
+def test_budget_trips_at_the_node_past_it(model, data):
+    stats = {}
+    got = maximize(*model, stats)
+    nodes = stats["ilp_nodes"]
+    budget = data.draw(st.integers(0, nodes))
+    stats = {"budget": budget}
+    if budget == nodes:
+        assert maximize(*model, stats) == got
+    else:
+        with pytest.raises(OracleLimitError, match=f"more than {budget} search nodes"):
+            maximize(*model, stats)
+        assert stats["ilp_nodes"] == budget + 1

@@ -1,19 +1,27 @@
-"""The branch and bound oracle against an independent exact solver.
+"""The packing engine's solvers against an independent exact solver.
 
 The oracle answers sparse majority graphs far beyond the sizes the
-small references reach (n <= 14).  Here the same packing program, max
-sum x subject to sum of x over N(v) <= t(v) - 1 and x in {0, 1}, is
-solved by `scipy.optimize.milp` (HiGHS), and the two sizes must agree.
-Each oracle witness is checked with `is_harmless`.
+small references reach (n <= 14), and the nd and twin cover solvers
+answer inputs of 150-200 vertices.  Here the harmless set program, max
+sum x subject to sum of x over N(v) <= t(v) - 1 and x in {0, 1}, one
+variable per vertex, is solved by `scipy.optimize.milp` (HiGHS), and the
+sizes must agree.  Each witness is checked with `is_harmless`.
 """
 
 import random
 
 import pytest
 
-from harmless import is_harmless, max_harmless_bruteforce
+from harmless import (
+    Graph,
+    Instance,
+    is_harmless,
+    max_harmless_bruteforce,
+    solve_nd,
+    solve_twincover,
+)
 
-from families import sparse_majority
+from families import planted_twin_cover, sparse_majority
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -49,4 +57,21 @@ def test_oracle_matches_milp(n, s):
     instance = sparse_majority(random.Random(f"{n}-{s}"), n)
     result = max_harmless_bruteforce(instance)
     assert result.size == len(result.witness) == milp_optimum(instance)
+    assert is_harmless(instance, result.witness)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 18])
+def test_twin_cover_matches_milp(seed):
+    # covers of 7 with 40 cliques; see tests/test_twincover.py::PLANTED
+    instance = planted_twin_cover(random.Random(seed), 7, 40, 7, 6, 0.5)
+    result = solve_twincover(instance, range(1, 8))
+    assert result.size == len(result.witness) == milp_optimum(instance)
+    assert is_harmless(instance, result.witness)
+
+
+def test_nd_threshold_two_path_matches_milp():
+    n = 200
+    instance = Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [2] * n)
+    result = solve_nd(instance)
+    assert result.size == len(result.witness) == milp_optimum(instance) == 100
     assert is_harmless(instance, result.witness)

@@ -184,7 +184,7 @@ def test_exact_under_any_multipliers(inst, data):
         p = data.draw(multipliers(len(rows)))
         return p, reduced_costs(rows, p, len(upper))
 
-    with mock.patch("harmless.oracle.packing_dual", drawn):
+    with mock.patch("harmless.ilp.packing_dual", drawn):
         got = max_harmless_bruteforce(inst)
     want = reference_bruteforce(inst)
     assert (got.size, got.witness) == (want.size, want.witness)
@@ -286,35 +286,35 @@ def pinned_instances():
 # (search nodes, witness) per instance; the node count is the work the
 # oracle does and the point where --budget trips, so it is pinned too.
 PINNED = {
-    ("empty", 0): (0, ()),
-    ("edgeless", 0): (10, (1, 2, 3, 4, 5)),
-    ("clique", 0): (5, (1, 4)),
-    ("random", 0): (13, (1, 2, 3, 10, 11)),
-    ("random", 1): (12, (1, 2, 5, 7)),
-    ("random", 2): (8, (3, 4, 6)),
-    ("random", 3): (7, (2, 6, 9)),
-    ("random", 4): (10, (1, 2, 3)),
-    ("random", 5): (8, (4, 7)),
-    ("random", 6): (9, (1, 2, 3, 6)),
-    ("random", 7): (11, (1, 6, 8)),
-    ("random", 8): (13, (1, 2, 3, 7, 8)),
-    ("random", 9): (14, (1, 5, 7, 9, 12)),
-    ("connected", 0): (2, (6,)),
-    ("connected", 1): (10, (1, 4, 10)),
-    ("connected", 2): (9, (1, 2, 3, 7)),
-    ("connected", 3): (5, (2, 4, 7, 9)),
-    ("connected", 4): (10, (1, 2, 5, 7)),
-    ("connected", 5): (7, (2, 7, 8)),
-    ("connected", 6): (7, (2, 5, 6)),
-    ("connected", 7): (3, (5, 9)),
-    ("connected", 8): (5, (1, 4)),
+    ("empty", 0): (1, ()),
+    ("edgeless", 0): (1, (1, 2, 3, 4, 5)),
+    ("clique", 0): (4, (1, 4)),
+    ("random", 0): (6, (1, 2, 3, 10, 11)),
+    ("random", 1): (5, (1, 2, 5, 7)),
+    ("random", 2): (4, (3, 4, 6)),
+    ("random", 3): (3, (2, 6, 9)),
+    ("random", 4): (5, (1, 2, 3)),
+    ("random", 5): (4, (4, 7)),
+    ("random", 6): (5, (1, 2, 3, 6)),
+    ("random", 7): (4, (1, 6, 8)),
+    ("random", 8): (5, (1, 2, 3, 7, 8)),
+    ("random", 9): (4, (1, 5, 7, 9, 12)),
+    ("connected", 0): (1, (6,)),
+    ("connected", 1): (5, (1, 4, 10)),
+    ("connected", 2): (5, (1, 2, 3, 7)),
+    ("connected", 3): (1, (2, 4, 7, 9)),
+    ("connected", 4): (6, (1, 2, 5, 7)),
+    ("connected", 5): (5, (2, 7, 8)),
+    ("connected", 6): (5, (2, 5, 6)),
+    ("connected", 7): (1, (5, 9)),
+    ("connected", 8): (4, (1, 4)),
     ("connected", 9): (3, (1,)),
-    ("majority", 0): (16, (1, 3, 4, 5, 13, 15, 17)),
-    ("majority", 1): (23, (1, 5, 6, 12, 13, 14, 15, 19)),
-    ("majority", 2): (41, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
-    ("majority", 3): (21, (2, 3, 6, 9, 10, 12, 19, 21)),
-    ("majority", 4): (95, (2, 3, 5, 16, 19, 20, 24, 25)),
-    ("majority", 5): (140, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
+    ("majority", 0): (10, (1, 3, 4, 5, 13, 15, 17)),
+    ("majority", 1): (15, (1, 5, 6, 12, 13, 14, 15, 19)),
+    ("majority", 2): (38, (1, 2, 3, 4, 10, 12, 14, 15, 19)),
+    ("majority", 3): (13, (2, 3, 6, 9, 10, 12, 19, 21)),
+    ("majority", 4): (22, (2, 3, 5, 16, 19, 20, 24, 25)),
+    ("majority", 5): (95, (2, 10, 11, 12, 15, 19, 21, 23, 24, 25, 27)),
 }
 
 

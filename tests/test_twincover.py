@@ -15,7 +15,7 @@ from harmless import (
 )
 from harmless.twincover import decompose, minimum_twin_cover_bruteforce
 
-from families import random_instance
+from families import planted_twin_cover, random_instance
 
 K4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -84,6 +84,20 @@ def test_known_answers():
     inst = Instance(g, (2, 2, 2, 2))
     res = solve_twincover(inst, (1,))
     assert res.size == max_harmless_bruteforce(inst).size == 1
+
+
+# planted covers of 7 vertices with 40 cliques of 1-6 vertices, which the
+# integer programs' row sum cut alone did not answer in minutes; seed 18
+# has 153 vertices; tests/test_milp_crosscheck.py confirms the sizes
+PLANTED = [(1, 88), (7, 83), (18, 85)]
+
+
+@pytest.mark.parametrize("seed, size", PLANTED)
+def test_planted_covers_of_seven_are_answered(seed, size):
+    inst = planted_twin_cover(random.Random(seed), 7, 40, 7, 6, 0.5)
+    res = solve_twincover(inst, range(1, 8))
+    assert res.size == len(res.witness) == size
+    assert is_harmless(inst, res.witness)
 
 
 def test_rejects_non_cover():
