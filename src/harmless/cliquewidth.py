@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, itemgetter, le
 
 from .core import FormatError, Instance, ReconstructionError, SolveResult, is_harmless
 
@@ -204,9 +205,10 @@ def _pour(buckets: dict[int, list[str]], label: int, names: list[str]) -> None:
 
 def _build(
     expression: CExpression,
-) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None]:
-    """Labels and edges of the built graph, plus the first eta in
-    post-order that re-adds an edge its child already has.  Raises
+) -> tuple[dict[str, int], set[tuple[str, str]], Eta | None, list[CExpr]]:
+    """Labels and edges of the built graph, the first eta in post-order
+    that re-adds an edge its child already has, and the post-order the
+    walk took, which the solver's DP and provenance walk reuse.  Raises
     ValueError when c < 1, and at the first node in post-order that uses
     a label outside 1..c, relabels or joins a label to itself, or is a
     union whose sides share a vertex name (naming the first shared one
@@ -227,7 +229,8 @@ def _build(
     edges: set[tuple[str, str]] = set()
     offender: Eta | None = None
     done: list[tuple[dict[str, int], dict[int, list[str]]]] = []
-    for index, node in enumerate(_postorder(expression.root)):
+    order = _postorder(expression.root)
+    for index, node in enumerate(order):
         if isinstance(node, Leaf):
             if not 1 <= node.label <= c:
                 raise ValueError(f"vertex label: label {node.label} outside 1..{c}")
@@ -263,12 +266,12 @@ def _build(
     for lab, names in done[0][1].items():
         for v in names:
             labels[v] = lab
-    return labels, edges, offender
+    return labels, edges, offender, order
 
 
 def eval_cexpr(expression: CExpression) -> tuple[dict[str, int], set[tuple[str, str]]]:
     """Labels and edges of the graph the expression builds."""
-    labels, edges, _ = _build(expression)
+    labels, edges, _, _ = _build(expression)
     return labels, edges
 
 
@@ -281,15 +284,25 @@ def check_irredundant(
 
 
 def _dp_tables(
-    expression: CExpression,
+    c: int,
+    order: list[CExpr],
     thresholds: dict[str, int],
     stats: dict,
-):
-    """Key tables and provenance for every expression node.
+) -> list[dict]:
+    """Key tables and provenance for every node of `order`, a post-order
+    of an expression with c labels, listed in that order.
 
     A key is (r, s): r[i] counts selected vertices with label i+1, s[i]
     is the least surplus among label-(i+1) vertices (INF when none).
     A leaf contributes s = t(v) whether or not it is selected.
+
+    Every node reads its children's keys in sorted order and keeps, as a
+    key's provenance, its first producer in that order.  A leaf builds
+    its table in sorted order, and so does an eta: it reads its child in
+    sorted order and lowers s by amounts that depend on r alone, leaving
+    INF at INF, so it keeps distinct keys distinct and in order.
+    Dominance only drops keys.  So only a union's or a rho's table is
+    sorted before its parent reads it, and no provenance moves.
 
     Pruning drops keys with a finite surplus <= 0.  Only an eta can
     lower a surplus: a leaf's is t >= 1, and union and rho take minima
@@ -303,9 +316,9 @@ def _dp_tables(
     live set to both sides, and every other label keeps its state.  No
     later step reads a dead label's count in r; it only adds into the
     total.  So among keys with equal live counts and equal s, each node
-    keeps those with the largest dead total, every one of them on a tie,
-    and skips the step when no label is dead.  This keeps every answer
-    and witness:
+    keeps those with the largest dead total (equally, the largest total
+    of r), every one of them on a tie, and skips the step when no label
+    is dead.  This keeps every answer and witness:
     - A dominated key meets the same partners and operations as the key
       dominating it, and each key it produces is dominated in turn by
       the matching product, with the same pruning fate.  At the root
@@ -316,22 +329,26 @@ def _dp_tables(
       pair in sorted order is the one it had without the rule, and the
       root still picks the same first maximum key.
     """
-    c = expression.labels
-    order = _postorder(expression.root)
-    # bit k of live[id(node)] is set when label k+1 is live there
-    live = {id(expression.root): 0}
-    for node in reversed(order):  # parents before children
-        mask = live[id(node)]
+    # bit k of live[index] is set when label k+1 is live at order[index];
+    # walking the post-order backwards meets each node before its
+    # children, and a union's right side before its left
+    live = [0] * len(order)
+    masks = [0]
+    for index in range(len(order) - 1, -1, -1):
+        node = order[index]
+        mask = live[index] = masks.pop()
         if isinstance(node, Union):
-            live[id(node.left)] = live[id(node.right)] = mask
+            masks += (mask, mask)
         elif isinstance(node, Eta):
-            live[id(node.child)] = mask | 1 << node.i - 1 | 1 << node.j - 1
+            masks.append(mask | 1 << node.i - 1 | 1 << node.j - 1)
         elif isinstance(node, Rho):
             below = mask & ~(1 << node.i - 1)
-            live[id(node.child)] = below | (mask >> node.j - 1 & 1) << node.i - 1
+            masks.append(below | (mask >> node.j - 1 & 1) << node.i - 1)
     every = (1 << c) - 1
-    tables: dict[int, dict] = {}
-    for node in order:
+    live_counts: dict = {}  # live mask -> getter of the live counts of r
+    tables: list[dict] = []
+    done: list = []  # keys of each finished subtree in sorted order, innermost last
+    for node, mask in zip(order, live):
         table: dict = {}
         if isinstance(node, Leaf):
             t = thresholds[node.name]
@@ -339,23 +356,21 @@ def _dp_tables(
             r = [0] * c
             s = [INF] * c
             s[li] = t
-            table.setdefault((tuple(r), tuple(s)), False)
+            table[tuple(r), tuple(s)] = False
             r[li] = 1
-            table.setdefault((tuple(r), tuple(s)), True)
+            table[tuple(r), tuple(s)] = True
         elif isinstance(node, Union):
-            left = tables[id(node.left)]
-            right = sorted(tables[id(node.right)])
-            for k1 in sorted(left):
+            right = done.pop()
+            for k1 in done.pop():
                 r1, s1 = k1
                 for k2 in right:
                     r2, s2 = k2
-                    r = tuple(a + b for a, b in zip(r1, r2))
-                    s = tuple(min(a, b) for a, b in zip(s1, s2))
-                    assert all(x <= a and x <= b for x, a, b in zip(s, s1, s2))
-                    table.setdefault((r, s), (k1, k2))
+                    s = tuple(map(min, s1, s2))
+                    assert all(map(le, s, s1)) and all(map(le, s, s2))
+                    table.setdefault((tuple(map(add, r1, r2)), s), (k1, k2))
         elif isinstance(node, Eta):
             ii, jj = node.i - 1, node.j - 1
-            for key in sorted(tables[id(node.child)]):
+            for key in done.pop():
                 r, s = key
                 ns = list(s)
                 if ns[ii] != INF:
@@ -369,7 +384,7 @@ def _dp_tables(
                 table.setdefault((r, tuple(ns)), key)
         else:
             ii, jj = node.i - 1, node.j - 1
-            for key in sorted(tables[id(node.child)]):
+            for key in done.pop():
                 r, s = key
                 nr = list(r)
                 nr[jj] += nr[ii]
@@ -379,41 +394,51 @@ def _dp_tables(
                 ns[ii] = INF
                 assert ns[jj] <= s[ii] and ns[jj] <= s[jj]
                 table.setdefault((tuple(nr), tuple(ns)), key)
-        mask = live[id(node)]
         if mask != every:
-            kept = [k for k in range(c) if mask >> k & 1]
-            dead = [k for k in range(c) if not mask >> k & 1]
-            marks = []
+            counts = live_counts.get(mask)
+            if counts is None:
+                kept = [k for k in range(c) if mask >> k & 1]
+                counts = live_counts[mask] = itemgetter(*kept) if kept else _no_counts
             top: dict = {}
-            for key in table:
-                r, s = key
-                group = (tuple([r[k] for k in kept]), s)
-                total = sum([r[k] for k in dead])
-                marks.append((key, group, total))
-                if top.get(group, -1) < total:
+            for r, s in table:
+                group = (counts(r), s)
+                total = sum(r)
+                if top.setdefault(group, total) < total:
                     top[group] = total
-            table = {key: table[key] for key, group, total in marks if total == top[group]}
-        tables[id(node)] = table
-        stats["max_keys"] = max(stats.get("max_keys", 0), len(table))
+            if len(top) < len(table):
+                table = {
+                    key: prov
+                    for key, prov in table.items()
+                    if top[counts(key[0]), key[1]] == sum(key[0])
+                }
+        tables.append(table)
+        done.append(table if isinstance(node, (Leaf, Eta)) else sorted(table))
+    stats["max_keys"] = max(stats.get("max_keys", 0), max(map(len, tables)))
     return tables
 
 
-def _extract(root: CExpr, key, tables) -> list[str]:
-    """Names of the selected leaves behind key at root, following the
-    provenance down from an explicit stack."""
+def _no_counts(r: tuple[int, ...]) -> tuple[()]:
+    """The live counts of r where no label is live."""
+    return ()
+
+
+def _extract(order: list[CExpr], key, tables: list[dict]) -> list[str]:
+    """Names of the selected leaves behind key at the root, following
+    the provenance down.  Walking the post-order backwards meets each
+    node before its children and a union's right side before its left,
+    so the keys still to look up form a stack."""
     chosen: list[str] = []
-    todo = [(root, key)]
-    while todo:
-        node, key = todo.pop()
-        prov = tables[id(node)][key]
+    keys = [key]
+    for index in range(len(order) - 1, -1, -1):
+        prov = tables[index][keys.pop()]
+        node = order[index]
         if isinstance(node, Leaf):
             if prov:
                 chosen.append(node.name)
         elif isinstance(node, Union):
-            k1, k2 = prov
-            todo += [(node.right, k2), (node.left, k1)]
+            keys += prov  # the right side's key on top
         else:
-            todo.append((node.child, prov))
+            keys.append(prov)
     return chosen
 
 
@@ -423,7 +448,7 @@ def solve_cliquewidth(instance: Instance, expression: CExpression) -> SolveResul
     The expression must be irredundant and must build exactly the
     instance graph (vertex names are the instance's integer ids).
     """
-    labels, edges, offender = _build(expression)
+    labels, edges, offender, order = _build(expression)
     graph = instance.graph
     try:
         ids = {name: int(name) for name in labels}
@@ -445,15 +470,15 @@ def solve_cliquewidth(instance: Instance, expression: CExpression) -> SolveResul
         )
     thresholds = {name: instance.threshold(ids[name]) for name in labels}
     stats: dict = {"labels": expression.labels, "max_keys": 0}
-    tables = _dp_tables(expression, thresholds, stats)
-    root_table = tables[id(expression.root)]
+    tables = _dp_tables(expression.labels, order, thresholds, stats)
+    root_table = tables[-1]
     if not root_table:
         raise ReconstructionError("DP lost the empty set at the root")
     # pruning keeps every finite surplus >= 1 at every node, so each root
     # key is a harmless shape; take the first largest in sorted order
     best_key = max(sorted(root_table), key=lambda key: sum(key[0]))
     best_size = sum(best_key[0])
-    witness = tuple(sorted(ids[name] for name in _extract(expression.root, best_key, tables)))
+    witness = tuple(sorted(ids[name] for name in _extract(order, best_key, tables)))
     if len(witness) != best_size or not is_harmless(instance, witness):
         raise ReconstructionError(
             f"cliquewidth witness {witness} fails verification for size {best_size}"

@@ -212,12 +212,14 @@ def test_dp_results_pinned():
 
 
 def test_solver_walks_the_expression_once(monkeypatch):
-    calls = []
-    build = cliquewidth._build
+    calls, walks = [], []
+    build, postorder = cliquewidth._build, cliquewidth._postorder
     monkeypatch.setattr(cliquewidth, "_build", lambda e: calls.append(e) or build(e))
+    monkeypatch.setattr(cliquewidth, "_postorder", lambda r: walks.append(r) or postorder(r))
     expr, graph = path_expr(6)
     assert solve_cliquewidth(Instance(graph, (2,) * 6), expr).size == 4
     assert calls == [expr]
+    assert walks == [expr.root]
 
 
 def test_deep_path_needs_no_recursion():

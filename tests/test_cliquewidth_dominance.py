@@ -7,6 +7,10 @@ dead labels hold fewer selected vertices than another key with the
 same live counts and the same surpluses.  No kept key has a dropped
 producer, so every answer and witness must match the reference, and no
 table may grow.
+
+A second reference (`dp_reference.reference_dominance_tables`) is the
+solver's own table pass in its earlier, plainer form.  Every node's
+table, keys and provenance, and `max_keys` must equal it exactly.
 """
 
 import functools
@@ -29,7 +33,7 @@ from harmless import (
     solve_cliquewidth,
 )
 
-from dp_reference import reference_dp_tables
+from dp_reference import reference_dominance_tables, reference_dp_tables
 from families import cograph_expr, path_expr
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -130,8 +134,9 @@ EXPRESSIONS = st.one_of(
 # -- equivalence with the reference -----------------------------------------
 
 
-def sound_pruned_tables(expression, thresholds, stats):
-    return reference_dp_tables(expression, thresholds, "all", True, stats)
+def sound_pruned_tables(c, order, thresholds, stats):
+    tables = reference_dp_tables(CExpression(c, order[-1]), thresholds, "all", True, stats)
+    return [tables[id(node)] for node in order]
 
 
 def assert_matches_reference(expr, inst):
@@ -154,6 +159,35 @@ def test_dominance_keeps_answer_and_witness(case):
 def test_dominance_keeps_twin_ties(case):
     # keeping one key of a tie on the dead total fails here
     assert_matches_reference(*case)
+
+
+# -- identity with the earlier table pass ------------------------------------
+
+
+@st.composite
+def long_paths(draw):
+    expr, graph = path_expr(100)
+    thresholds = draw(st.lists(st.integers(1, 3), min_size=100, max_size=100))
+    return expr, Instance(graph, thresholds)
+
+
+# 300 examples: at 150, a copy of the solver that read a union's left
+# side in insertion order instead of sorted order still passed
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(
+    EXPRESSIONS, random_expressions(twins=True).flatmap(with_thresholds), long_paths()
+))
+def test_tables_equal_the_earlier_table_pass(case):
+    expr, inst = case
+    labels, _, _, order = cliquewidth._build(expr)
+    thresholds = {name: inst.threshold(int(name)) for name in labels}
+    got_stats, want_stats = {}, {}
+    got = cliquewidth._dp_tables(expr.labels, order, thresholds, got_stats)
+    want = reference_dominance_tables(expr, thresholds, want_stats)
+    assert len(got) == len(want)
+    for node, table in zip(order, got):
+        assert table == want[id(node)], node
+    assert got_stats == want_stats
 
 
 # from longer random runs of the expressions above.  Keeping only the

@@ -1,11 +1,12 @@
-"""The packing engine's solvers against an independent exact solver.
+"""The exact solvers against an independent exact solver.
 
 The oracle answers sparse majority graphs far beyond the sizes the
-small references reach (n <= 14), and the nd and twin cover solvers
-answer inputs of 150-200 vertices.  Here the harmless set program, max
-sum x subject to sum of x over N(v) <= t(v) - 1 and x in {0, 1}, one
-variable per vertex, is solved by `scipy.optimize.milp` (HiGHS), and the
-sizes must agree.  Each witness is checked with `is_harmless`.
+small references reach (n <= 14), the nd and twin cover solvers answer
+inputs of 150-200 vertices, and the clique-width DP solves paths of
+300.  Here the harmless set program, max sum x subject to sum of x over
+N(v) <= t(v) - 1 and x in {0, 1}, one variable per vertex, is solved by
+`scipy.optimize.milp` (HiGHS), and the sizes must agree.  Each witness
+is checked with `is_harmless`.
 """
 
 import random
@@ -17,11 +18,12 @@ from harmless import (
     Instance,
     is_harmless,
     max_harmless_bruteforce,
+    solve_cliquewidth,
     solve_nd,
     solve_twincover,
 )
 
-from families import planted_twin_cover, sparse_majority
+from families import cograph_expr, path_expr, planted_twin_cover, sparse_majority
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -74,4 +76,28 @@ def test_nd_threshold_two_path_matches_milp():
     instance = Instance(Graph(n, [(i, i + 1) for i in range(1, n)]), [2] * n)
     result = solve_nd(instance)
     assert result.size == len(result.witness) == milp_optimum(instance) == 100
+    assert is_harmless(instance, result.witness)
+
+
+# paths with thresholds from 1..3, and cographs where a vertex of degree
+# d draws its threshold from 1 + d // 2..d + 1 (answers 15 and 15 of 30;
+# thresholds from 1..d answer 0 and 1), from random.Random(f"{kind}-{n}-{seed}")
+CLIQUEWIDTH = [("path", 100, 0), ("path", 300, 0), ("cograph", 30, 0), ("cograph", 30, 1)]
+
+
+@pytest.mark.parametrize(
+    "kind, n, seed", CLIQUEWIDTH, ids=[f"{kind}{n}-s{seed}" for kind, n, seed in CLIQUEWIDTH]
+)
+def test_cliquewidth_matches_milp(kind, n, seed):
+    rng = random.Random(f"{kind}-{n}-{seed}")
+    if kind == "path":
+        expr, graph = path_expr(n)
+        thresholds = [rng.randint(1, 3) for _ in range(n)]
+    else:
+        expr, graph = cograph_expr(n, rng)
+        degrees = [graph.degree(v) for v in graph.vertices()]
+        thresholds = [rng.randint(1 + d // 2, d + 1) for d in degrees]
+    instance = Instance(graph, thresholds)
+    result = solve_cliquewidth(instance, expr)
+    assert result.size == len(result.witness) == milp_optimum(instance)
     assert is_harmless(instance, result.witness)
