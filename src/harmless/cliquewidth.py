@@ -211,16 +211,17 @@ def _build(
     walk took, which the solver's DP and provenance walk reuse.  Raises
     ValueError when c < 1, and at the first node in post-order that uses
     a label outside 1..c, relabels or joins a label to itself, or is a
-    union whose sides share a vertex name (naming the first shared one
-    in the right side's order), so a hand-built expression is held to
-    the rules the parser enforces.
+    leaf whose name an earlier leaf in post-order already has (naming
+    it), so a hand-built expression is held to the rules the parser
+    enforces.  Post-order lists the leaves in text order, so a repeated
+    name is the one `parse_cexpr` names on the serialized expression.
 
-    Every finished subtree keeps its names (with their post-order
-    positions) and one bucket of names per label.  A union pours the
-    smaller side into the larger, an eta reads two buckets and a rho
-    pours one into another, so the walk costs O(n log n) plus the edges.
-    One edge set serves the whole walk: when names are distinct, an edge
-    an eta finds already present was added by an eta below it.
+    Every finished subtree keeps one bucket of names per label.  A union
+    pours the right side's buckets into the left's, extending the longer
+    list, an eta reads two buckets and a rho pours one into another, so
+    the walk costs O(n log n) plus the edges.  One edge set serves the
+    whole walk: when names are distinct, an edge an eta finds already
+    present was added by an eta below it.
     """
     c = expression.labels
     if c < 1:
@@ -228,31 +229,25 @@ def _build(
     labels: dict[str, int] = {}
     edges: set[tuple[str, str]] = set()
     offender: Eta | None = None
-    done: list[tuple[dict[str, int], dict[int, list[str]]]] = []
+    done: list[dict[int, list[str]]] = []
     order = _postorder(expression.root)
-    for index, node in enumerate(order):
+    for node in order:
         if isinstance(node, Leaf):
+            if node.name in labels:
+                raise ValueError(f"duplicate vertex name {node.name!r}")
             if not 1 <= node.label <= c:
                 raise ValueError(f"vertex label: label {node.label} outside 1..{c}")
             labels[node.name] = node.label
-            done.append(({node.name: index}, {node.label: [node.name]}))
+            done.append({node.label: [node.name]})
         elif isinstance(node, Union):
-            right, right_buckets = done.pop()
-            left, buckets = done.pop()
-            small, large = (left, right) if len(left) < len(right) else (right, left)
-            shared = [v for v in small if v in large]
-            if shared:
-                name = min(shared, key=right.__getitem__)
-                raise ValueError(f"duplicate vertex name {name!r}")
-            large.update(small)
-            for lab, names in right_buckets.items():
-                _pour(buckets, lab, names)
-            done.append((large, buckets))
+            right = done.pop()
+            for lab, names in right.items():
+                _pour(done[-1], lab, names)
         elif node.i == node.j or not (1 <= node.i <= c and 1 <= node.j <= c):
             op = "eta" if isinstance(node, Eta) else "rho"
             raise ValueError(f"{op} {node.i} {node.j}: labels must differ and lie in 1..{c}")
         elif isinstance(node, Eta):
-            buckets = done[-1][1]
+            buckets = done[-1]
             side_j = buckets.get(node.j, ())
             for a in buckets.get(node.i, ()):
                 for b in side_j:
@@ -261,9 +256,9 @@ def _build(
                         offender = node
                     edges.add(e)
         else:
-            buckets = done[-1][1]
+            buckets = done[-1]
             _pour(buckets, node.j, buckets.pop(node.i, []))
-    for lab, names in done[0][1].items():
+    for lab, names in done[0].items():
         for v in names:
             labels[v] = lab
     return labels, edges, offender, order

@@ -37,9 +37,10 @@ def maximize(
     component, so the per-component lexicographically greatest optima
     make up the lexicographically greatest optimum.
 
-    With the multipliers p and reduced costs c of `packing_dual`, the
-    undecided unblocked variables U of a component add at most the sum
-    of their caps and at most lag / DUAL_SCALE, where lag is the sum of
+    With the multipliers p and reduced costs c that `packing_dual` finds
+    for the binding rows over their unblocked variables, the undecided
+    unblocked variables U of a component add at most the sum of their
+    caps and at most lag / DUAL_SCALE, where lag is the sum of
     p[c] * slack[c] plus the sum of cap[u] * c[u] over U.  Phase one
     finds the component optimum h on an explicit stack, deciding
     variables by c, highest first, then by index, each from the least
@@ -83,17 +84,9 @@ def maximize(
                 var_rows[i].append(c)
         value = [0 if var_rows[i] else cap[i] for i in range(nvars)]  # y
         free = [i for i in range(nvars) if var_rows[i]]
-        index = {v: j for j, v in enumerate(free)}
-        p, reduced = packing_dual(
-            [[index[i] for i in members[c]] for c in binding],
-            [slack[c] for c in binding],
-            [cap[i] for i in free],
-            stats,
+        price, cost = packing_dual(  # p[c] and c[u]
+            members, slack, [k if rs else 0 for k, rs in zip(cap, var_rows)], stats
         )
-        price = dict(zip(binding, p))  # p[c]
-        cost = [0] * nvars  # c[u]
-        for v, x in zip(free, reduced):
-            cost[v] = x
         weight = list(map(mul, cost, cap))  # cap[u] * c[u]
         spent = [sum(map(price.__getitem__, cs)) for cs in var_rows]  # p over u's rows
 
@@ -276,22 +269,24 @@ def packing_dual(rows, bounds, upper, stats: dict | None = None):
     Sweeps visit the rows by how far their upper bounds overfill them,
     most first (a row set early can leave a more overfull one no gain),
     until one changes nothing, at most min(max(1, n // 3, n * n // 100),
-    DUAL_SWEEPS) of them for n variables: n // 3 up to 34 variables,
-    then n * n // 100, which reaches the cap at 80.  A sweep costs one
-    pass over the rows, while the search the bound prunes grows
-    exponentially with n, so larger models get more sweeps.  The sweeps
-    made are added to `stats["lp_iterations"]`.
+    DUAL_SWEEPS) of them, where n counts the variables with a positive
+    upper bound: n // 3 up to 34 of them, then n * n // 100, which
+    reaches the cap at 80.  A sweep costs one pass over the rows, while
+    the search the bound prunes grows exponentially with n, so larger
+    models get more sweeps.  A variable with upper bound 0 adds no
+    breakpoint, so `maximize` passes its whole model, with 0 for each
+    variable in no binding row.  The sweeps made are added to
+    `stats["lp_iterations"]`.
     """
     load = [0] * len(upper)
     p = [0] * len(rows)
     live = []
-    unit = all(x == 1 for x in upper)  # then each row is its own breakpoint list
     for r, (row, bound) in enumerate(zip(rows, bounds)):
-        weighted = row if unit else [i for i in row for _ in range(upper[i])]
+        weighted = [i for i in row for _ in range(upper[i])]
         if len(weighted) > bound:
             live.append((r, row, weighted, bound))
     live.sort(key=lambda entry: entry[3] - len(entry[2]))
-    n = len(upper)
+    n = len(upper) - upper.count(0)
     sweeps, cap = 0, min(max(1, n // 3, n * n // 100), DUAL_SWEEPS)
     changed = bool(live)
     loaded = load.__getitem__

@@ -18,6 +18,7 @@ from itertools import combinations
 from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distances, is_harmless
 from .ilp import maximize
 from .nd import are_twins, class_threshold_stats
+from .oracle import DEFAULT_NODE_BUDGET, OracleLimitError
 
 BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
 
@@ -72,35 +73,44 @@ def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
 
     Edges not joining true twins must be covered like a vertex cover, so
     the search branches on the endpoints of the first uncovered such
-    edge, trying budgets k in increasing order.  A greedy maximal
-    matching on those edges needs one cover vertex per matched edge, so
-    the budgets start at the matching size, and a matching larger than
-    k_max answers None without branching.
+    edge, u before v, trying budgets k in increasing order.  A greedy
+    maximal matching on those edges needs one cover vertex per matched
+    edge, so the budgets start at the matching size, and a matching
+    larger than k_max answers None without branching.  The search runs
+    on an explicit stack; a branch covers every edge up to the one it
+    branched on, so its first uncovered edge lies further on.  Visiting
+    more than DEFAULT_NODE_BUDGET nodes, counted over every k, raises
+    OracleLimitError.
     """
     hard = [e for e in graph.edges if not are_twins(graph, *e)]
     matched: set[int] = set()
     for u, v in hard:
         if u not in matched and v not in matched:
             matched.update((u, v))
-
-    def branch(chosen: set, budget: int) -> tuple[int, ...] | None:
-        for u, v in hard:
-            if u not in chosen and v not in chosen:
-                if budget == 0:
-                    return None
-                for pick in (u, v):
-                    chosen.add(pick)
-                    found = branch(chosen, budget - 1)
-                    if found is not None:
-                        return found
-                    chosen.remove(pick)
-                return None
-        return tuple(sorted(chosen))
-
+    budget = DEFAULT_NODE_BUDGET
+    nodes = 0
     for k in range(len(matched) // 2, k_max + 1):
-        found = branch(set(), k)
-        if found is not None:
-            return found
+        chosen: list[int] = []  # the picks on the path to the node
+        taken = [False] * (graph.n + 1)
+        # (picks above the node, the node's own pick, where its scan starts)
+        stack = [(0, 0, 0)]
+        while stack:
+            depth, pick, i = stack.pop()
+            while len(chosen) > depth:
+                taken[chosen.pop()] = False
+            if pick:
+                chosen.append(pick)
+                taken[pick] = True
+            nodes += 1
+            if nodes > budget:
+                raise OracleLimitError(f"oracle limit: more than {budget} search nodes")
+            while i < len(hard) and (taken[hard[i][0]] or taken[hard[i][1]]):
+                i += 1
+            if i == len(hard):
+                return tuple(sorted(chosen))
+            if len(chosen) < k:
+                u, v = hard[i]
+                stack += [(len(chosen), v, i + 1), (len(chosen), u, i + 1)]
     return None
 
 

@@ -291,8 +291,9 @@ def test_nd_on_a_threshold_two_path_is_answered(tmp_path, capsys):
 
 
 def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
-    # find_twin_cover still recurses once per cover vertex, under
-    # analyze, auto and a twin cover solve without --cover
+    # no search of the package recurses with the input's size; the
+    # handler stays so that a deep recursion still exits 2, not with a
+    # traceback
     def deep(instance):
         raise RecursionError("maximum recursion depth exceeded")
 
@@ -300,6 +301,24 @@ def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
     code, lines, err = run(capsys, "solve", p3_file, "--algo", "nd")
     assert code == 2 and lines == []
     assert err.startswith("error: recursion depth limit ")
+
+
+def test_long_cover_search_exits_two(tmp_path, capsys, monkeypatch):
+    # a threshold-2 path has no twins, so its twin covers are its vertex
+    # covers, 1200 vertices here, past Python's recursion limit; the
+    # search's nodes count against the oracle's budget, patched low here
+    # to keep the test fast
+    n = 2400
+    path = tmp_path / "p2400.hs"
+    path.write_text(
+        f"p hs {n} {n - 1}\n"
+        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    )
+    monkeypatch.setattr("harmless.twincover.DEFAULT_NODE_BUDGET", 5000)
+    code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", str(n))
+    assert code == 2 and lines == []
+    assert err == "error: oracle limit: more than 5000 search nodes\n"
 
 
 def test_deep_cexpr_is_answered(tmp_path, capsys):

@@ -254,6 +254,16 @@ def test_repeated_leaf_name_is_rejected():
     right = Union(Union(Leaf("2", 1), Leaf("1", 1)), Leaf("3", 1))
     with pytest.raises(ValueError, match="^duplicate vertex name '2'$"):
         eval_cexpr(CExpression(2, Union(left, right)))
+    # the second A comes before the second B in text order, as the
+    # parser reads it, although the first union to see two sides that
+    # share a name is the one that joins the B leaves
+    twice = CExpression(
+        2, Union(Leaf("A", 1), Union(Union(Leaf("A", 1), Leaf("B", 1)), Leaf("B", 1)))
+    )
+    with pytest.raises(FormatError, match="^duplicate vertex name 'A'$"):
+        parse_cexpr(serialize_cexpr(twice))
+    with pytest.raises(ValueError, match="^duplicate vertex name 'A'$"):
+        eval_cexpr(twice)
 
 
 # hand-built expressions that break the parser's label rules, on the

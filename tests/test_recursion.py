@@ -10,11 +10,9 @@ from pathlib import Path
 
 import harmless
 
-# find_twin_cover's branch recurses once per cover vertex; the CLI turns
-# a RecursionError into exit code 2.  mmo_feasible_bruteforce's branch
-# recurses once per edge, and EDGE_LIMIT caps that at 20.
+# mmo_feasible_bruteforce's branch recurses once per edge, and
+# EDGE_LIMIT caps that at 20.
 RECURSIVE = {
-    "twincover.find_twin_cover.branch",
     "oracle.mmo_feasible_bruteforce.branch",
 }
 
