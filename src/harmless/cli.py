@@ -102,12 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(rows, machine: bool):
     """rows are (KEY, value) pairs; text joins with spaces, machine mode
-    prints key=value with multi-id values comma-separated."""
-    for key, value in rows:
-        if machine:
-            print(f"{key.lower().replace(' ', '_')}={str(value).replace(' ', ',')}")
-        else:
-            print(f"{key} {value}")
+    prints key=value with multi-id values comma-separated.  All rows go
+    out in one write."""
+    if machine:
+        rows = [(k.lower().replace(" ", "_"), str(v).replace(" ", ",")) for k, v in rows]
+    sep = "=" if machine else " "
+    sys.stdout.write("".join(f"{key}{sep}{value}\n" for key, value in rows))
 
 
 def cmd_solve(args) -> int:
@@ -119,10 +119,11 @@ def cmd_solve(args) -> int:
         raise ValueError("--algo planar requires --k")
     cover = None
     if algo == "auto":
-        if nd_partition(instance.graph).width <= args.nd_limit:
+        partition = nd_partition(instance.graph)
+        if partition.width <= args.nd_limit:
             algo = "nd"
         else:
-            cover = find_twin_cover(instance.graph, args.cover_limit)
+            cover = find_twin_cover(instance.graph, args.cover_limit, partition)
             algo = "twincover" if cover is not None else "brute"
 
     rule = None
@@ -176,13 +177,14 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     instance = parse_instance(_read(args.input))
     graph = instance.graph
-    cover = find_twin_cover(graph, args.cover_limit)
+    partition = nd_partition(graph)
+    cover = find_twin_cover(graph, args.cover_limit, partition)
     rows = [
         ("VERTICES", graph.n),
         ("EDGES", len(graph.edges)),
         ("TMIN", min(instance.thresholds, default=0)),
         ("TMAX", max(instance.thresholds, default=0)),
-        ("CLASSES", nd_partition(graph).width),
+        ("CLASSES", partition.width),
         ("COVER", "none" if cover is None else len(cover)),
     ]
     _emit(rows, args.machine)

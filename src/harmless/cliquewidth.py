@@ -69,12 +69,16 @@ class CExpression:
     root: CExpr
 
 
-# a `;` comment runs to the end of its line; group 1 is a token
-_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+# a `;` comment runs to the end of its line
+_COMMENT = re.compile(r";[^\n]*")
 
 
 def _tokenize(text: str) -> list[str]:
-    return [tok for tok in _TOKEN.findall(text) if tok]
+    """Parentheses, and runs of anything else between whitespace;
+    `str.split` splits on exactly the characters regex `\\s` matches."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _postorder(root: CExpr) -> list[CExpr]:

@@ -11,7 +11,8 @@ small integer program per guess with `ilp.maximize`, so the work is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
 from .ilp import maximize
@@ -22,17 +23,33 @@ class TypePartition:
     """Twin classes, their kind, and adjacency between classes.
 
     classes[i] lists members ascending; kinds[i] is "clique" or
-    "independent" (singletons count as independent); type_neighbors[i]
-    holds the indices of adjacent classes.
+    "independent" (singletons count as independent); class_of[v] is the
+    index of v's class (class_of[0] is unused).  type_neighbors[i] holds
+    the indices of the classes adjacent to class i; it is built on first
+    read, since only the nd solver needs it.
     """
 
     classes: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]
-    type_neighbors: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
+    graph: Graph = field(compare=False, repr=False)
 
     @property
     def width(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def type_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """One pass over the edges, since adjacency between two twin
+        classes is all or nothing."""
+        index = self.class_of
+        nbrs: list[set[int]] = [set() for _ in self.classes]
+        for u, v in self.graph.edges:
+            i, j = index[u], index[v]
+            if i != j:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+        return tuple(tuple(sorted(row)) for row in nbrs)
 
 
 def are_twins(graph: Graph, u: int, v: int) -> bool:
@@ -43,51 +60,38 @@ def are_twins(graph: Graph, u: int, v: int) -> bool:
 
 
 def nd_partition(graph: Graph) -> TypePartition:
-    """Group vertices into twin classes and build the type graph.
+    """Group vertices into twin classes.
 
     Non-adjacent twins share their open neighbourhood N(v) and adjacent
     twins their closed one N(v) | {v}, and no vertex has both kinds of
     twin (a false twin a and a true twin b of v would give b in N(a),
-    hence a in N[b] = N[v], making a adjacent to v).  So one dictionary
-    keyed by each neighbourhood kind finds every class: a vertex belongs
-    to its open bucket when that holds two or more vertices, else to its
-    closed bucket.  Classes are ordered by smallest member; the type
-    graph comes from one pass over the edges, since adjacency between
-    two twin classes is all or nothing.
+    hence a in N[b] = N[v], making a adjacent to v).  So a vertex
+    belongs to its open bucket when that holds two or more vertices,
+    else to its closed bucket, and only those vertices need their closed
+    neighbourhood built.  Buckets fill in vertex order, so classes are
+    ordered by smallest member.
     """
     by_open: dict[frozenset, list[int]] = {}
-    by_closed: dict[frozenset, list[int]] = {}
     for v, nbrs in enumerate(graph.neighbors, start=1):
         by_open.setdefault(nbrs, []).append(v)
-        by_closed.setdefault(nbrs | {v}, []).append(v)
+    by_closed: dict[frozenset, list[int]] = {}
     classes: list[list[int]] = []
     index = [0] * (graph.n + 1)
     for v, nbrs in enumerate(graph.neighbors, start=1):
         cls = by_open[nbrs]
         if len(cls) < 2:
-            cls = by_closed[nbrs | {v}]
+            cls = by_closed.setdefault(nbrs | {v}, [])
+            cls.append(v)
         if cls[0] == v:
             index[v] = len(classes)
             classes.append(cls)
         else:
             index[v] = index[cls[0]]
-    kinds = []
-    for cls in classes:
-        if len(cls) >= 2 and graph.has_edge(cls[0], cls[1]):
-            kinds.append("clique")
-        else:
-            kinds.append("independent")
-    nbrs: list[set[int]] = [set() for _ in classes]
-    for u, v in graph.edges:
-        i, j = index[u], index[v]
-        if i != j:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    return TypePartition(
-        tuple(tuple(c) for c in classes),
-        tuple(kinds),
-        tuple(tuple(sorted(row)) for row in nbrs),
+    kinds = tuple(
+        "clique" if len(cls) >= 2 and graph.has_edge(cls[0], cls[1]) else "independent"
+        for cls in classes
     )
+    return TypePartition(tuple(map(tuple, classes)), kinds, tuple(index), graph)
 
 
 def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple[int, int]:

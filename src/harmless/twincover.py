@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distances, is_harmless
 from .ilp import maximize
-from .nd import are_twins, class_threshold_stats
+from .nd import TypePartition, are_twins, class_threshold_stats, nd_partition
 from .oracle import DEFAULT_NODE_BUDGET, OracleLimitError
 
 BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
@@ -68,21 +68,29 @@ def is_twin_cover(graph: Graph, vertices) -> bool:
     return all(u in xs or v in xs or are_twins(graph, u, v) for u, v in graph.edges)
 
 
-def find_twin_cover(graph: Graph, k_max: int) -> tuple[int, ...] | None:
+def find_twin_cover(
+    graph: Graph, k_max: int, partition: TypePartition | None = None
+) -> tuple[int, ...] | None:
     """Smallest twin cover of size <= k_max, or None.
 
-    Edges not joining true twins must be covered like a vertex cover, so
-    the search branches on the endpoints of the first uncovered such
-    edge, u before v, trying budgets k in increasing order.  A greedy
-    maximal matching on those edges needs one cover vertex per matched
-    edge, so the budgets start at the matching size, and a matching
-    larger than k_max answers None without branching.  The search runs
-    on an explicit stack; a branch covers every edge up to the one it
-    branched on, so its first uncovered edge lies further on.  Visiting
-    more than DEFAULT_NODE_BUDGET nodes, counted over every k, raises
+    Edges not joining true twins must be covered like a vertex cover.
+    Those are the edges between two twin classes of `partition` (built
+    here unless the caller passes the graph's own), since adjacent
+    members of one class are true twins.  The search branches on the
+    endpoints of the first uncovered such edge, u before v, trying
+    budgets k in increasing order.  A greedy maximal matching on those
+    edges needs one cover vertex per matched edge, so the budgets start
+    at the matching size, and a matching larger than k_max answers None
+    without branching.  The search runs on an explicit stack; a branch
+    covers every edge up to the one it branched on, so its first
+    uncovered edge lies further on.  Visiting more than
+    DEFAULT_NODE_BUDGET nodes, counted over every k, raises
     OracleLimitError.
     """
-    hard = [e for e in graph.edges if not are_twins(graph, *e)]
+    if partition is None:
+        partition = nd_partition(graph)
+    class_of = partition.class_of
+    hard = [(u, v) for u, v in graph.edges if class_of[u] != class_of[v]]
     matched: set[int] = set()
     for u, v in hard:
         if u not in matched and v not in matched:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import harmless.cli as cli
+import harmless.nd as nd
 import harmless.twincover as twincover
 from harmless import (
     Graph,
@@ -67,6 +69,32 @@ def test_solve_auto_fallbacks(tmp_path, capsys):
     assert code == 0 and lines[-1] == "SOLVER nd"
     code, lines, _ = run(capsys, "solve", str(path), "--cover-limit", "10")
     assert code == 0 and lines[-1] == "SOLVER twincover"
+
+
+def test_auto_and_analyze_build_one_partition(tmp_path, capsys, monkeypatch):
+    # the nd gate, the twin cover search and analyze's CLASSES row share
+    # one twin partition, and the cover search takes its hard edges from
+    # it; every binding of nd_partition and are_twins is counted
+    calls, pairs = [], []
+    build, twins = nd.nd_partition, nd.are_twins
+    counted = lambda graph: calls.append(graph.n) or build(graph)  # noqa: E731
+    for module in (cli, nd, twincover):
+        monkeypatch.setattr(module, "nd_partition", counted)
+    spy = lambda g, u, v: pairs.append((u, v)) or twins(g, u, v)  # noqa: E731
+    for module in (nd, twincover):
+        monkeypatch.setattr(module, "are_twins", spy)
+    inst = Instance(Graph(20, [(i, i + 1) for i in range(1, 20)]), (1,) * 20)
+    path = tmp_path / "p20.hs"
+    path.write_text(serialize_instance(inst) + "\n")
+    for argv, last in [
+        (["solve", str(path)], "SOLVER brute"),
+        (["solve", str(path), "--cover-limit", "10"], "SOLVER twincover"),
+        (["analyze", str(path), "--cover-limit", "10"], "COVER 10"),
+    ]:
+        calls.clear()
+        code, lines, _ = run(capsys, *argv)
+        assert code == 0 and lines[-1] == last
+        assert calls == [20] and pairs == []
 
 
 def test_solve_twincover_explicit_cover(p3_file, capsys):

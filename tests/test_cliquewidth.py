@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,3 +342,60 @@ TOKEN_TEXT = st.text(st.sampled_from("();\n\r\t\x0b\x0c\x1c\x85\u00a0\u2028\u300
 @given(st.one_of(TOKEN_TEXT, st.text()))
 def test_tokenize_matches_reference_loop(text):
     assert cliquewidth._tokenize(text) == reference_tokenize(text)
+
+
+# the regular expression `_tokenize` used before it split on whitespace
+FINDALL_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+
+def findall_tokenize(text):
+    return [tok for tok in FINDALL_TOKEN.findall(text) if tok]
+
+
+def parse_outcome(text):
+    """The serialized expression, or the parse error's message."""
+    try:
+        return serialize_cexpr(parse_cexpr(text))
+    except FormatError as err:
+        return f"FormatError: {err}"
+
+
+# expression words, the structural characters and digits
+EXPR_WORDS = ["(", ")", ";", "\n", "\t", " ", "v", "union", "eta", "rho", "cexpr", *"0123456789"]
+# labels 1..3 under a budget of 3 or more, so that many draws parse
+LABELS = st.sampled_from("123")
+NAMES = st.text("0123456789", min_size=1, max_size=3)
+EXPR_TOKENS = st.recursive(
+    st.tuples(NAMES, LABELS).map(lambda nl: ["(", "v", *nl, ")"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: ["(", "union", *ab[0], *ab[1], ")"]),
+        st.tuples(st.sampled_from(["eta", "rho"]), LABELS, LABELS, sub).map(
+            lambda t: ["(", *t[:3], *t[3], ")"]
+        ),
+    ),
+    max_leaves=6,
+)
+CEXPR_TOKENS = st.tuples(st.sampled_from("3456789"), EXPR_TOKENS).map(
+    lambda ce: ["(", "cexpr", ce[0], *ce[1], ")"]
+)
+
+
+@st.composite
+def expression_text(draw):
+    """Mostly well-formed expressions with whitespace and comments between
+    tokens, some cut short; the rest free strings of expression words."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(EXPR_WORDS), max_size=60)))
+    tokens = draw(CEXPR_TOKENS)
+    gaps = st.sampled_from([" ", "\n", "\t ", " ; v 1 ( union\n", "\n;)\n"])
+    text = tokens[0] + "".join(draw(gaps) + tok for tok in tokens[1:])
+    return text[: draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(expression_text(), TOKEN_TEXT))
+def test_tokenize_and_parse_match_findall_reference(text):
+    assert cliquewidth._tokenize(text) == findall_tokenize(text)
+    got = parse_outcome(text)
+    with mock.patch.object(cliquewidth, "_tokenize", findall_tokenize):
+        assert got == parse_outcome(text)

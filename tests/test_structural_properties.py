@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import harmless.nd as nd
 import harmless.planar as planar
+import harmless.twincover as twincover
 from harmless import Graph, Instance, apply_reduction1, find_twin_cover, nd_partition
 from harmless.planar import _diameter_scan, color_vertices
 from harmless.core import is_harmless, slack
@@ -320,15 +321,50 @@ def test_rule_miss_on_long_path_runs_one_bfs(monkeypatch):
     assert calls == [1]
 
 
-def test_nd_partition_on_sparse_graph_makes_no_pairwise_test(monkeypatch):
-    calls = []
-    monkeypatch.setattr(nd, "are_twins", lambda g, u, v: calls.append((u, v)) or are_twins(g, u, v))
-    rng = random.Random(4000)
-    n = 4000
+def sparse_graph(n, seed):
+    """n vertices and 2n distinct random edges."""
+    rng = random.Random(seed)
     edges = set()
     while len(edges) < 2 * n:
         u, v = rng.sample(range(1, n + 1), 2)
         edges.add((min(u, v), max(u, v)))
-    part = nd_partition(Graph(n, sorted(edges)))
-    assert sum(map(len, part.classes)) == n
+    return Graph(n, sorted(edges))
+
+
+def count_pairwise_tests(monkeypatch):
+    """Route every binding of `are_twins` through one call log."""
+    calls = []
+    spy = lambda g, u, v: calls.append((u, v)) or are_twins(g, u, v)  # noqa: E731
+    monkeypatch.setattr(nd, "are_twins", spy)
+    monkeypatch.setattr(twincover, "are_twins", spy)
+    return calls
+
+
+def test_nd_partition_on_sparse_graph_makes_no_pairwise_test(monkeypatch):
+    calls = count_pairwise_tests(monkeypatch)
+    part = nd_partition(sparse_graph(4000, 4000))
+    assert sum(map(len, part.classes)) == 4000
     assert calls == []
+
+
+def test_find_twin_cover_on_sparse_graph_makes_no_pairwise_test(monkeypatch):
+    calls = count_pairwise_tests(monkeypatch)
+    graph = sparse_graph(4000, 4000)
+    assert find_twin_cover(graph, 8) is None
+    assert find_twin_cover(graph, 8, nd_partition(graph)) is None
+    assert calls == []
+
+
+def test_type_graph_is_built_on_first_read():
+    # the partition and the twin cover search leave it unbuilt; the
+    # first read builds it once and it matches the reference
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(0, 12)
+        graph = Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < 0.4])
+        part = nd_partition(graph)
+        find_twin_cover(graph, 4, part)
+        assert "type_neighbors" not in vars(part)
+        assert (part.classes, part.kinds, part.type_neighbors) == reference_nd_partition(graph)
+        assert vars(part)["type_neighbors"] is part.type_neighbors
