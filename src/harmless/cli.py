@@ -118,8 +118,8 @@ def cmd_solve(args) -> int:
     if algo == "planar" and args.k is None:
         raise ValueError("--algo planar requires --k")
     cover = None
+    partition = nd_partition(instance.graph) if algo in ("auto", "nd", "twincover") else None
     if algo == "auto":
-        partition = nd_partition(instance.graph)
         if partition.width <= args.nd_limit:
             algo = "nd"
         else:
@@ -136,17 +136,17 @@ def cmd_solve(args) -> int:
         if algo == "brute":
             result = max_harmless_bruteforce(instance, args.budget)
         elif algo == "nd":
-            result = solve_nd(instance)
+            result = solve_nd(instance, partition)
         elif algo == "twincover":
             if args.cover is not None:
                 cover = as_vertex_set(_id_list(args.cover), instance.graph.n)
             elif cover is None:
-                cover = find_twin_cover(instance.graph, args.cover_limit)
+                cover = find_twin_cover(instance.graph, args.cover_limit, partition)
                 if cover is None:
                     raise ValueError(
                         f"no twin cover of size <= {args.cover_limit}; pass --cover"
                     )
-            result = solve_twincover(instance, cover)
+            result = solve_twincover(instance, cover, partition)
         else:
             result = solve_cliquewidth(instance, parse_cexpr(_read(args.cexpr)))
         size, witness, solver = result.size, result.witness, result.solver

@@ -52,13 +52,6 @@ class TypePartition:
         return tuple(tuple(sorted(row)) for row in nbrs)
 
 
-def are_twins(graph: Graph, u: int, v: int) -> bool:
-    """N(u) \\ {v} equals N(v) \\ {u}; twins have equal degree, so that
-    is compared first."""
-    nu, nv = graph.neighbors[u - 1], graph.neighbors[v - 1]
-    return len(nu) == len(nv) and nu - {v} == nv - {u}
-
-
 def nd_partition(graph: Graph) -> TypePartition:
     """Group vertices into twin classes.
 
@@ -153,10 +146,10 @@ def _select_members(
     return tuple(sorted(chosen))
 
 
-def solve_nd(instance: Instance) -> SolveResult:
+def solve_nd(instance: Instance, partition: TypePartition | None = None) -> SolveResult:
     """Maximum harmless set via the type-graph integer programs; each
     guess passes the best size so far as the engine's floor."""
-    partition = nd_partition(instance.graph)
+    partition = partition or nd_partition(instance.graph)
     clique_classes = [
         i for i in range(partition.width) if partition.kinds[i] == "clique"
     ]

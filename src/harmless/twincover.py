@@ -13,11 +13,11 @@ integer program, solved by `ilp.maximize`, distributes the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
-from .core import Graph, Instance, ReconstructionError, SolveResult, bfs_distances, is_harmless
+from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
 from .ilp import maximize
-from .nd import TypePartition, are_twins, class_threshold_stats, nd_partition
+from .nd import TypePartition, class_threshold_stats, nd_partition
 from .oracle import DEFAULT_NODE_BUDGET, OracleLimitError
 
 BRUTEFORCE_COVER_LIMIT = 12  # most vertices minimum_twin_cover_bruteforce takes
@@ -61,11 +61,11 @@ class TwinDecomposition:
         return tuple(caps)
 
 
-def is_twin_cover(graph: Graph, vertices) -> bool:
-    """Every edge is covered or joins true twins (for an edge uv,
-    N[u] = N[v] exactly when u and v are twins)."""
-    xs = set(vertices)
-    return all(u in xs or v in xs or are_twins(graph, u, v) for u, v in graph.edges)
+def is_twin_cover(graph: Graph, vertices, partition: TypePartition | None = None) -> bool:
+    """Every edge is covered or joins two members of one twin class of
+    `partition`, built here unless the caller passes the graph's own."""
+    xs, class_of = set(vertices), (partition or nd_partition(graph)).class_of
+    return all(u in xs or v in xs or class_of[u] == class_of[v] for u, v in graph.edges)
 
 
 def find_twin_cover(
@@ -81,15 +81,16 @@ def find_twin_cover(
     budgets k in increasing order.  A greedy maximal matching on those
     edges needs one cover vertex per matched edge, so the budgets start
     at the matching size, and a matching larger than k_max answers None
-    without branching.  The search runs on an explicit stack; a branch
-    covers every edge up to the one it branched on, so its first
-    uncovered edge lies further on.  Visiting more than
+    without branching.  The same bound prunes each node: it branches
+    only while its picks plus a greedy matching on its uncovered hard
+    edges stay within k, so it cuts only subtrees that hold no cover of
+    size k and the search finds the same cover.  The search runs on an
+    explicit stack; a branch covers every edge up to the one it branched
+    on, so its first uncovered edge lies further on.  Visiting more than
     DEFAULT_NODE_BUDGET nodes, counted over every k, raises
     OracleLimitError.
     """
-    if partition is None:
-        partition = nd_partition(graph)
-    class_of = partition.class_of
+    class_of = (partition or nd_partition(graph)).class_of
     hard = [(u, v) for u, v in graph.edges if class_of[u] != class_of[v]]
     matched: set[int] = set()
     for u, v in hard:
@@ -97,6 +98,7 @@ def find_twin_cover(
             matched.update((u, v))
     budget = DEFAULT_NODE_BUDGET
     nodes = 0
+    stamp = [0] * (graph.n + 1)  # stamp[v] == nodes: v matched at this node
     for k in range(len(matched) // 2, k_max + 1):
         chosen: list[int] = []  # the picks on the path to the node
         taken = [False] * (graph.n + 1)
@@ -118,13 +120,24 @@ def find_twin_cover(
                 return tuple(sorted(chosen))
             if len(chosen) < k:
                 u, v = hard[i]
-                stack += [(len(chosen), v, i + 1), (len(chosen), u, i + 1)]
+                stamp[u] = stamp[v] = nodes
+                need = len(chosen) + 1
+                for a, b in islice(hard, i + 1, None):
+                    if taken[a] or taken[b] or stamp[a] == nodes or stamp[b] == nodes:
+                        continue
+                    stamp[a] = stamp[b] = nodes
+                    need += 1
+                    if need > k:
+                        break
+                if need <= k:
+                    stack += [(len(chosen), v, i + 1), (len(chosen), u, i + 1)]
     return None
 
 
-def decompose(instance: Instance, cover) -> TwinDecomposition:
-    """Split G - X into its cliques once per cover; the caller
-    guarantees that `cover` is a twin cover, which is not checked again.
+def decompose(instance: Instance, cover, partition: TypePartition) -> TwinDecomposition:
+    """Read the cliques of G - X off the twin classes once per cover, by
+    least member: the members outside X of a clique class, or one of an
+    independent class.  `cover` must be a twin cover; it is not checked.
     """
     graph = instance.graph
     xs = set(cover)
@@ -133,7 +146,9 @@ def decompose(instance: Instance, cover) -> TwinDecomposition:
     for v in graph.vertices():
         if v in seen:
             continue
-        clique = tuple(sorted(bfs_distances(graph, v, xs)))
+        i, clique = partition.class_of[v], (v,)
+        if partition.kinds[i] == "clique":
+            clique = tuple(u for u in partition.classes[i] if u not in xs)
         seen.update(clique)
         cliques.append(clique)
         x_nbrs.append(frozenset(graph.neighbors[v - 1] & xs))
@@ -177,14 +192,17 @@ def _distribute(
     return chosen
 
 
-def solve_twincover(instance: Instance, cover) -> SolveResult:
+def solve_twincover(
+    instance: Instance, cover, partition: TypePartition | None = None
+) -> SolveResult:
     """Maximum harmless set via the 2^|X| sweep over S_X; each live guess
     passes the best total so far less |S_X| as the engine's floor."""
     graph = instance.graph
+    partition = partition or nd_partition(graph)
     xs = tuple(sorted(set(cover)))
-    if not is_twin_cover(graph, xs):
+    if not is_twin_cover(graph, xs, partition):
         raise ValueError(f"{list(xs)} is not a twin cover")
-    decomp = decompose(instance, xs)
+    decomp = decompose(instance, xs, partition)
     stats: dict = {"cover_size": len(xs), "guesses": 0, "dead_guesses": 0}
     best: tuple[int, tuple[int, ...]] = (-1, ())
     for bits in range(1 << len(xs)):
@@ -220,8 +238,9 @@ def minimum_twin_cover_bruteforce(graph: Graph) -> tuple[int, ...]:
     """Smallest twin cover by subset enumeration; test-scale only."""
     if graph.n > BRUTEFORCE_COVER_LIMIT:
         raise ValueError(f"{graph.n} vertices exceeds cap {BRUTEFORCE_COVER_LIMIT}")
+    partition = nd_partition(graph)
     for size in range(graph.n + 1):
         for combo in combinations(graph.vertices(), size):
-            if is_twin_cover(graph, combo):
+            if is_twin_cover(graph, combo, partition):
                 return combo
     raise AssertionError("V itself is always a twin cover")

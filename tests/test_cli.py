@@ -72,29 +72,31 @@ def test_solve_auto_fallbacks(tmp_path, capsys):
 
 
 def test_auto_and_analyze_build_one_partition(tmp_path, capsys, monkeypatch):
-    # the nd gate, the twin cover search and analyze's CLASSES row share
-    # one twin partition, and the cover search takes its hard edges from
-    # it; every binding of nd_partition and are_twins is counted
-    calls, pairs = [], []
-    build, twins = nd.nd_partition, nd.are_twins
+    # the nd gate, the nd solver, the twin cover search, the cover check,
+    # the split of G - X and analyze's CLASSES row share one twin
+    # partition; every binding of nd_partition is counted
+    calls = []
+    build = nd.nd_partition
     counted = lambda graph: calls.append(graph.n) or build(graph)  # noqa: E731
     for module in (cli, nd, twincover):
         monkeypatch.setattr(module, "nd_partition", counted)
-    spy = lambda g, u, v: pairs.append((u, v)) or twins(g, u, v)  # noqa: E731
-    for module in (nd, twincover):
-        monkeypatch.setattr(module, "are_twins", spy)
     inst = Instance(Graph(20, [(i, i + 1) for i in range(1, 20)]), (1,) * 20)
     path = tmp_path / "p20.hs"
     path.write_text(serialize_instance(inst) + "\n")
+    evens = ",".join(str(v) for v in range(2, 21, 2))
     for argv, last in [
         (["solve", str(path)], "SOLVER brute"),
+        (["solve", str(path), "--nd-limit", "30"], "SOLVER nd"),
         (["solve", str(path), "--cover-limit", "10"], "SOLVER twincover"),
+        (["solve", str(path), "--algo", "nd"], "SOLVER nd"),
+        (["solve", str(path), "--algo", "twincover", "--cover-limit", "10"], "SOLVER twincover"),
+        (["solve", str(path), "--algo", "twincover", "--cover", evens], "SOLVER twincover"),
         (["analyze", str(path), "--cover-limit", "10"], "COVER 10"),
     ]:
         calls.clear()
         code, lines, _ = run(capsys, *argv)
         assert code == 0 and lines[-1] == last
-        assert calls == [20] and pairs == []
+        assert calls == [20]
 
 
 def test_solve_twincover_explicit_cover(p3_file, capsys):
@@ -280,18 +282,24 @@ def test_sparse_majority_graph_is_answered(tmp_path, capsys):
     assert lines[0] == "SIZE 31" and lines[-1] == "SOLVER brute"
 
 
+def write_long_path(tmp_path, n):
+    """A path on n vertices, each of threshold 2."""
+    path = tmp_path / f"p{n}.hs"
+    path.write_text(
+        f"p hs {n} {n - 1}\n"
+        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
+        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    )
+    return path
+
+
 def test_threshold_two_path_is_answered(tmp_path, capsys):
     # a vertex of threshold 2 tolerates one chosen neighbour, so at most
     # half of the path can be chosen, which is also the LP optimum; no
     # structural solver applies, and the oracle answers within its
     # default budget only when its Lagrangian bound comes close to that
     n = 3000
-    path = tmp_path / "p3000.hs"
-    path.write_text(
-        f"p hs {n} {n - 1}\n"
-        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
-        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
-    )
+    path = write_long_path(tmp_path, n)
     code, lines, err = run(capsys, "solve", str(path))
     assert code == 0 and err == ""
     assert lines[0] == "SIZE 1500" and lines[-1] == "SOLVER brute"
@@ -305,12 +313,7 @@ def test_nd_on_a_threshold_two_path_is_answered(tmp_path, capsys):
     # sum cut alone once took 4^(n/2) nodes here, the dual bound and the
     # split of the odd and even positions answer at once
     n = 200
-    path = tmp_path / "p200.hs"
-    path.write_text(
-        f"p hs {n} {n - 1}\n"
-        + "".join(f"t {v} 2\n" for v in range(1, n + 1))
-        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
-    )
+    path = write_long_path(tmp_path, n)
     code, lines, err = run(capsys, "solve", str(path), "--algo", "nd")
     assert code == 0 and err == ""
     assert lines[0] == "SIZE 100" and lines[-1] == "SOLVER nd"
@@ -322,7 +325,7 @@ def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
     # no search of the package recurses with the input's size; the
     # handler stays so that a deep recursion still exits 2, not with a
     # traceback
-    def deep(instance):
+    def deep(instance, partition=None):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr("harmless.cli.solve_nd", deep)
@@ -331,17 +334,31 @@ def test_recursion_error_exits_two(p3_file, capsys, monkeypatch):
     assert err.startswith("error: recursion depth limit ")
 
 
-def test_long_cover_search_exits_two(tmp_path, capsys, monkeypatch):
+def test_long_cover_search_is_answered(tmp_path, capsys, monkeypatch):
     # a threshold-2 path has no twins, so its twin covers are its vertex
-    # covers, 1200 vertices here, past Python's recursion limit; the
-    # search's nodes count against the oracle's budget, patched low here
-    # to keep the test fast
+    # covers; its greedy matching is as large as its minimum cover, so the
+    # matching bound at each node cuts every wrong pick at once, well
+    # within the oracle's budget, patched low here
     n = 2400
-    path = tmp_path / "p2400.hs"
+    path = write_long_path(tmp_path, n)
+    monkeypatch.setattr("harmless.twincover.DEFAULT_NODE_BUDGET", 5000)
+    code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", str(n))
+    assert code == 0 and err == ""
+    assert lines[-2:] == [f"CLASSES {n}", f"COVER {n // 2}"]
+
+
+def test_long_cover_search_exits_two(tmp_path, capsys, monkeypatch):
+    # forty disjoint 5-cycles have no twins; each needs 3 cover vertices
+    # but holds a matching of only 2, so every budget from 80 to 119
+    # must be refuted; the search's nodes count against the oracle's
+    # budget, patched low here to keep the test fast
+    n = 200
+    edges = [(b + i, b + i % 5 + 1) for b in range(0, n, 5) for i in range(1, 6)]
+    path = tmp_path / "c5x40.hs"
     path.write_text(
-        f"p hs {n} {n - 1}\n"
+        f"p hs {n} {len(edges)}\n"
         + "".join(f"t {v} 2\n" for v in range(1, n + 1))
-        + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+        + "".join(f"e {u} {v}\n" for u, v in edges)
     )
     monkeypatch.setattr("harmless.twincover.DEFAULT_NODE_BUDGET", 5000)
     code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", str(n))
@@ -357,12 +374,7 @@ def test_deep_cexpr_is_answered(tmp_path, capsys):
         text = f"(rho 3 2 (rho 2 1 (eta 3 2 (union (v {k} 3) {text}))))"
     cexpr = tmp_path / "p300.cexpr"
     cexpr.write_text(f"(cexpr 3 {text})\n")
-    inst = tmp_path / "p300.hs"
-    inst.write_text(
-        "p hs 300 299\n"
-        + "".join(f"t {v} 2\n" for v in range(1, 301))
-        + "".join(f"e {i} {i + 1}\n" for i in range(1, 300))
-    )
+    inst = write_long_path(tmp_path, 300)
     code, lines, err = run(
         capsys, "solve", str(inst), "--algo", "cliquewidth", "--cexpr", str(cexpr)
     )

@@ -248,11 +248,13 @@ def test_nd_models_have_one_packing_row_per_class(inst):
 
 def test_twincover_splits_the_cover_remainder_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(
-        twincover,
-        "bfs_distances",
-        lambda g, s, removed: calls.append(s) or bfs_distances(g, s, removed),
-    )
+    split = twincover.decompose
+
+    def spy(instance, xs, partition):
+        calls.append(split(instance, xs, partition))
+        return calls[-1]
+
+    monkeypatch.setattr(twincover, "decompose", spy)
     rng = random.Random(7)
     cover = tuple(range(1, 7))
     n, edges = 6, []
@@ -264,5 +266,5 @@ def test_twincover_splits_the_cover_remainder_once(monkeypatch):
     inst = Instance(Graph(n, edges), [rng.randint(1, 4) for _ in range(n)])
     result = solve_twincover(inst, cover)
     assert result.stats["guesses"] == 64
-    assert len(calls) == 12
+    assert [(d.cover, len(d.cliques)) for d in calls] == [(cover, 12)]
     assert is_harmless(inst, result.witness)

@@ -6,10 +6,11 @@ import random
 import pytest
 
 from harmless import Graph, Instance, is_harmless, max_harmless_bruteforce, nd_partition, solve_nd
-from harmless.nd import _select_members, are_twins, class_threshold_stats, nd_bounds, nd_rows
+from harmless.nd import _select_members, class_threshold_stats, nd_bounds, nd_rows
 from harmless.ilp import maximize
 
 from families import random_instance
+from test_structural_properties import reference_twins
 
 
 def guess_model(inst, part, guess):
@@ -27,11 +28,12 @@ HUB9 = Graph(
 
 
 def test_are_twins():
-    assert are_twins(HUB9, 1, 2)      # false twins via the hub
-    assert are_twins(HUB9, 6, 7)      # true twins
-    assert are_twins(HUB9, 8, 9)
-    assert not are_twins(HUB9, 1, 6)
-    assert not are_twins(HUB9, 5, 6)
+    # 1, 2 false twins via the hub, 6, 7 true twins; the definition and
+    # the partition agree on each pair
+    class_of = nd_partition(HUB9).class_of
+    for u, v, twins in [(1, 2, True), (6, 7, True), (8, 9, True), (1, 6, False), (5, 6, False)]:
+        assert reference_twins(HUB9, u, v) == twins
+        assert (class_of[u] == class_of[v]) == twins
 
 
 def test_partition_four_classes():
@@ -62,7 +64,7 @@ def test_partition_matches_pairwise_twins():
         for u in inst.graph.vertices():
             for v in inst.graph.vertices():
                 if u < v:
-                    assert (index[u] == index[v]) == are_twins(inst.graph, u, v)
+                    assert (index[u] == index[v]) == reference_twins(inst.graph, u, v)
 
 
 def test_class_threshold_stats():

@@ -6,21 +6,21 @@ same outputs.  The straightforward versions they replaced are kept here
 as references, and Hypothesis compares the two on random graphs, twin
 blow-ups, disjoint unions, isolated vertices and paths.  The references
 test twinhood straight from its definition, so they share no code with
-the package's `are_twins`, which is checked against that definition
-too, as is `slack`.  Work tests count calls instead of timing them.
+`nd_partition`, the package's one twin test, which is checked against
+that definition pair by pair, as are `is_twin_cover`, the cliques
+`decompose` reads off the classes, and `slack`.  Work tests count calls
+instead of timing them.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-import harmless.nd as nd
 import harmless.planar as planar
-import harmless.twincover as twincover
-from harmless import Graph, Instance, apply_reduction1, find_twin_cover, nd_partition
+from harmless import Graph, Instance, apply_reduction1, find_twin_cover, is_twin_cover, nd_partition
 from harmless.planar import _diameter_scan, color_vertices
-from harmless.core import is_harmless, slack
-from harmless.nd import are_twins
+from harmless.core import bfs_distances, is_harmless, slack
+from harmless.twincover import decompose
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -243,11 +243,43 @@ def with_thresholds(draw, graphs, t_hi):
 def test_are_twins_matches_definition(graph, data):
     if graph.n < 2:
         return
+    class_of = nd_partition(graph).class_of
     for _ in range(2):
         u = data.draw(st.integers(1, graph.n))
         for v in graph.vertices():
             if v != u:
-                assert are_twins(graph, u, v) == reference_twins(graph, u, v), (u, v)
+                assert (class_of[u] == class_of[v]) == reference_twins(graph, u, v), (u, v)
+
+
+def reference_components(graph, xs):
+    """Components of G - X by least member, each sorted, by BFS."""
+    seen, parts = set(xs), []
+    for v in graph.vertices():
+        if v not in seen:
+            part = tuple(sorted(bfs_distances(graph, v, xs)))
+            seen.update(part)
+            parts.append(part)
+    return parts
+
+
+@PROPERTY
+@given(structured_graphs, st.data())
+def test_twin_cover_check_and_split_match_definition(graph, data):
+    # random sets, covers or not, against the definition; then random
+    # supersets of a minimum cover, which cut clique classes part-way,
+    # split into the cliques a BFS finds in G - X
+    vertex_sets = st.sets(st.integers(1, graph.n)) if graph.n else st.just(set())
+    part = nd_partition(graph)
+    for _ in range(3):
+        xs = data.draw(vertex_sets)
+        want = all(u in xs or v in xs or reference_twins(graph, u, v) for u, v in graph.edges)
+        assert is_twin_cover(graph, xs) == is_twin_cover(graph, xs, part) == want
+    cover = find_twin_cover(graph, graph.n)
+    inst = Instance(graph, [1] * graph.n)
+    for _ in range(3):
+        xs = set(cover) | data.draw(vertex_sets)
+        split = decompose(inst, sorted(xs), part)
+        assert list(split.cliques) == reference_components(graph, xs)
 
 
 @PROPERTY
@@ -331,28 +363,15 @@ def sparse_graph(n, seed):
     return Graph(n, sorted(edges))
 
 
-def count_pairwise_tests(monkeypatch):
-    """Route every binding of `are_twins` through one call log."""
-    calls = []
-    spy = lambda g, u, v: calls.append((u, v)) or are_twins(g, u, v)  # noqa: E731
-    monkeypatch.setattr(nd, "are_twins", spy)
-    monkeypatch.setattr(twincover, "are_twins", spy)
-    return calls
-
-
-def test_nd_partition_on_sparse_graph_makes_no_pairwise_test(monkeypatch):
-    calls = count_pairwise_tests(monkeypatch)
+def test_nd_partition_on_sparse_graph_makes_no_pairwise_test():
     part = nd_partition(sparse_graph(4000, 4000))
     assert sum(map(len, part.classes)) == 4000
-    assert calls == []
 
 
-def test_find_twin_cover_on_sparse_graph_makes_no_pairwise_test(monkeypatch):
-    calls = count_pairwise_tests(monkeypatch)
+def test_find_twin_cover_on_sparse_graph_makes_no_pairwise_test():
     graph = sparse_graph(4000, 4000)
     assert find_twin_cover(graph, 8) is None
     assert find_twin_cover(graph, 8, nd_partition(graph)) is None
-    assert calls == []
 
 
 def test_type_graph_is_built_on_first_read():

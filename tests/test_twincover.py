@@ -11,6 +11,7 @@ from harmless import (
     is_harmless,
     is_twin_cover,
     max_harmless_bruteforce,
+    nd_partition,
     solve_twincover,
 )
 from harmless.twincover import decompose, minimum_twin_cover_bruteforce
@@ -55,12 +56,12 @@ def test_decompose_caps():
     # 3-clique left over, cover vertex 4 unattached: t(C)=2, alpha=1
     g = Graph(4, [(1, 2), (1, 3), (2, 3)])
     inst = Instance(g, (2, 3, 3, 1))
-    d = decompose(inst, (4,))
+    d = decompose(inst, (4,), nd_partition(g))
     assert d.cliques == ((1, 2, 3),)
     assert d.rows == ((),)  # cover vertex 4 sees no class
     assert d.caps(()) == (2,)
     # alpha(C) = 3 > m = 2: tight, one seat lost
-    tight = decompose(Instance(g, (2, 2, 2, 1)), (4,))
+    tight = decompose(Instance(g, (2, 2, 2, 1)), (4,), nd_partition(g))
     assert tight.caps(()) == (1,)
 
 
@@ -68,7 +69,7 @@ def test_decompose_dead_guess():
     # clique attached to two chosen cover vertices, m = 2 - 2 = 0 < alpha
     g = Graph(5, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)])
     inst = Instance(g, (2, 2, 2, 1, 1))
-    d = decompose(inst, (4, 5))
+    d = decompose(inst, (4, 5), nd_partition(g))
     assert d.rows == ((0,), (0,))  # both cover vertices see the one class
     assert d.caps((4, 5)) is None
     assert d.caps(()) is not None
