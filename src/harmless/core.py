@@ -201,14 +201,37 @@ def content_lines(text: str) -> list[tuple[int, str]]:
     ]
 
 
+def integers(fields: Sequence[str], lineno: int, what: str) -> tuple[int, ...]:
+    """The fields as integers; any other token is `line N: non-integer <what>`."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer {what}") from None
+
+
+def read_graph(n: int, m: int, edges: Iterable[tuple[int, int]], lineno) -> Graph:
+    """`Graph(n, edges)` from a format's edge lines, read lazily.  A
+    ValueError of `Graph` becomes `line N: ...`, N being `lineno()`, the
+    line read when it was raised; the graph must have m edges."""
+    try:
+        graph = Graph(n, edges)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"line {lineno()}: {exc}") from None
+    if len(graph.edges) != m:
+        raise FormatError(f"expected {m} edge lines, found {len(graph.edges)}")
+    return graph
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the instance format.
 
     Layout: a `p hs <n> <m>` header, then `t <v> <threshold>` lines (one
     per vertex, or a single `t majority` line), then `e <u> <v>` lines.
     Lines starting with `#` and blank lines are ignored; t and e lines
-    may interleave.  `Graph` checks each edge as its line is read, so
-    its errors name that line.
+    may interleave.  `read_graph` checks each edge as its line is read,
+    so its errors name that line.
     """
     lines = content_lines(text)
     if not lines:
@@ -219,10 +242,7 @@ def parse_instance(text: str) -> Instance:
         raise FormatError(f"line {lineno}: expected `p hs <n> <m>` header")
     if len(fields) != 4 or fields[1] != "hs":
         raise FormatError(f"line {lineno}: malformed header {line!r}")
-    try:
-        n, m = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer header counts") from None
+    n, m = integers(fields[2:], lineno, "header counts")
     if n < 0 or m < 0:
         raise FormatError(f"line {lineno}: negative header counts")
     thresholds: dict[int, int] = {}
@@ -268,14 +288,7 @@ def parse_instance(text: str) -> Instance:
             else:
                 raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
 
-    try:
-        graph = Graph(n, edges())
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
-    if len(graph.edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(graph.edges)}")
+    graph = read_graph(n, m, edges(), lambda: lineno)
     if majority:
         return majority_thresholds(graph)
     if len(thresholds) != n:

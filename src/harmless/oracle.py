@@ -21,6 +21,8 @@ from .core import (
     OracleLimitError,
     SolveResult,
     content_lines,
+    integers,
+    read_graph,
 )
 from .ilp import maximize
 
@@ -164,20 +166,24 @@ def mrss_feasible_bruteforce(mi: MrssInstance) -> tuple[bool, tuple[int, ...] | 
     return False, None
 
 
-def parse_mmo(text: str) -> WeightedGraph:
-    """Parse `p mmo <n> <m> <r>` plus `e <u> <v> <w>` lines; `Graph`
-    checks each edge as its line is read, so its errors name that line."""
-    lines = content_lines(text)
+def _header(lines: list[tuple[int, str]], kind: str, shape: str) -> tuple[int, ...]:
+    """The integers of the `p <kind> <shape>` header, the first content line."""
+    usage = f"`p {kind} {shape}`"
     if not lines:
-        raise FormatError("missing `p mmo <n> <m> <r>` header")
+        raise FormatError(f"missing {usage} header")
     lineno, line = lines[0]
     fields = line.split()
-    if len(fields) != 5 or fields[0] != "p" or fields[1] != "mmo":
-        raise FormatError(f"line {lineno}: expected `p mmo <n> <m> <r>`")
-    try:
-        n, m, r = (int(x) for x in fields[2:])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer header") from None
+    if len(fields) != 2 + len(shape.split()) or fields[:2] != ["p", kind]:
+        raise FormatError(f"line {lineno}: expected {usage}")
+    return integers(fields[2:], lineno, "header")
+
+
+def parse_mmo(text: str) -> WeightedGraph:
+    """Parse `p mmo <n> <m> <r>` plus `e <u> <v> <w>` lines; `read_graph`
+    checks each edge as its line is read, so its errors name that line."""
+    lines = content_lines(text)
+    n, m, r = _header(lines, "mmo", "<n> <m> <r>")
+    lineno = lines[0][0]  # `Graph` rejects n < 0 before any edge line
     weights: dict[tuple[int, int], int] = {}
 
     def edges():
@@ -186,21 +192,11 @@ def parse_mmo(text: str) -> WeightedGraph:
             fields = line.split()
             if fields[0] != "e" or len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected `e <u> <v> <w>`")
-            try:
-                u, v, w = (int(x) for x in fields[1:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer edge line") from None
+            u, v, w = integers(fields[1:], lineno, "edge line")
             weights[u, v] = w
             yield u, v
 
-    try:
-        graph = Graph(n, edges())
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
-    if len(graph.edges) != m:
-        raise FormatError(f"expected {m} edge lines, found {len(graph.edges)}")
+    graph = read_graph(n, m, edges(), lambda: lineno)
     try:
         return WeightedGraph(graph, weights, r)
     except ValueError as exc:
@@ -209,39 +205,23 @@ def parse_mmo(text: str) -> WeightedGraph:
 
 def parse_mrss(text: str) -> MrssInstance:
     """Parse `p mrss <k> <n> <k'>`, one `t` line, and n `s` lines."""
-    header = None
+    lines = content_lines(text)
+    k, n, budget = _header(lines, "mrss", "<k> <n> <k'>")
     target = None
     vectors: list[tuple[int, ...]] = []
-    for lineno, line in content_lines(text):
+    for lineno, line in lines[1:]:
         fields = line.split()
-        if header is None:
-            if len(fields) != 5 or fields[0] != "p" or fields[1] != "mrss":
-                raise FormatError(f"line {lineno}: expected `p mrss <k> <n> <k'>`")
-            try:
-                header = tuple(int(x) for x in fields[2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header") from None
-            continue
         if fields[0] == "t":
             if target is not None:
                 raise FormatError(f"line {lineno}: duplicate target line")
-            try:
-                target = tuple(int(x) for x in fields[1:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer target line") from None
+            target = integers(fields[1:], lineno, "target line")
         elif fields[0] == "s":
-            try:
-                vec = tuple(int(x) for x in fields[1:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer vector line") from None
+            vec = integers(fields[1:], lineno, "vector line")
             if any(x < 0 for x in vec):
                 raise FormatError(f"line {lineno}: vector entries must be non-negative")
             vectors.append(vec)
         else:
             raise FormatError(f"line {lineno}: unknown line type {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing `p mrss <k> <n> <k'>` header")
-    k, n, budget = header
     if target is None:
         raise FormatError("missing `t` target line")
     if len(target) != k:

@@ -68,6 +68,15 @@ def is_twin_cover(graph: Graph, vertices, partition: TypePartition | None = None
     return all(u in xs or v in xs or class_of[u] == class_of[v] for u, v in graph.edges)
 
 
+def _matching_size(edges) -> int:
+    """Size of the greedy maximal matching on `edges`, taken in order."""
+    matched: set[int] = set()
+    for u, v in edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    return len(matched) // 2
+
+
 def find_twin_cover(
     graph: Graph, k_max: int, partition: TypePartition | None = None
 ) -> tuple[int, ...] | None:
@@ -76,32 +85,66 @@ def find_twin_cover(
     Edges not joining true twins must be covered like a vertex cover.
     Those are the edges between two twin classes of `partition` (built
     here unless the caller passes the graph's own), since adjacent
-    members of one class are true twins.  The search branches on the
-    endpoints of the first uncovered such edge, u before v, trying
-    budgets k in increasing order.  A greedy maximal matching on those
-    edges needs one cover vertex per matched edge, so the budgets start
-    at the matching size, and a matching larger than k_max answers None
-    without branching.  The same bound prunes each node: it branches
-    only while its picks plus a greedy matching on its uncovered hard
-    edges stay within k, so it cuts only subtrees that hold no cover of
-    size k and the search finds the same cover.  The search runs on an
-    explicit stack; a branch covers every edge up to the one it branched
-    on, so its first uncovered edge lies further on.  Visiting more than
-    DEFAULT_NODE_BUDGET nodes, counted over every k, raises
-    OracleLimitError.
+    members of one class are true twins.  A greedy maximal matching on
+    those hard edges needs one cover vertex per matched edge, so a
+    matching larger than k_max answers None without branching.
+    Otherwise each connected component of the hard edges is searched on
+    its own: it tries budgets k in increasing order from its own
+    matching size up to k_max less the other components' lower bounds
+    (their covers once found, their matching sizes before), and
+    branches on the endpoints of its first uncovered hard edge, u before
+    v.  The same bound prunes each node: it branches only while its
+    picks plus a greedy matching on its uncovered hard edges stay within
+    k, so it cuts only subtrees that hold no cover of size k.  A search
+    meets its leaves in lexicographic order of their branch choices, so
+    the first minimum cover of the whole graph is the union of each
+    component's first one, and splitting changes no cover.  Each search
+    runs on an explicit stack; a branch covers every edge up to the one
+    it branched on, so its first uncovered edge lies further on.
+    Visiting more than DEFAULT_NODE_BUDGET nodes, counted over every
+    component and every k, raises OracleLimitError.
     """
     class_of = (partition or nd_partition(graph)).class_of
     hard = [(u, v) for u, v in graph.edges if class_of[u] != class_of[v]]
-    matched: set[int] = set()
-    for u, v in hard:
-        if u not in matched and v not in matched:
-            matched.update((u, v))
-    budget = DEFAULT_NODE_BUDGET
+    spare = k_max - _matching_size(hard)
+    if spare < 0:
+        return None
+    label = [0] * (graph.n + 1)  # a component's first endpoint, once reached
+    components: dict[int, list[tuple[int, int]]] = {}
+    for e in hard:
+        if not label[e[0]]:
+            label[e[0]] = e[0]
+            stack = [e[0]]
+            while stack:
+                v = stack.pop()
+                for w in graph.neighbors[v - 1]:
+                    if not label[w] and class_of[w] != class_of[v]:
+                        label[w] = e[0]
+                        stack.append(w)
+        components.setdefault(label[e[0]], []).append(e)
     nodes = 0
     stamp = [0] * (graph.n + 1)  # stamp[v] == nodes: v matched at this node
-    for k in range(len(matched) // 2, k_max + 1):
-        chosen: list[int] = []  # the picks on the path to the node
-        taken = [False] * (graph.n + 1)
+    taken = [False] * (graph.n + 1)
+    cover: list[int] = []
+    for edges in components.values():
+        low = _matching_size(edges)
+        found, nodes = _cover_search(edges, low, low + spare, taken, stamp, nodes)
+        if found is None:
+            return None
+        spare -= len(found) - low
+        cover += found
+    return tuple(sorted(cover))
+
+
+def _cover_search(hard, low, high, taken, stamp, nodes):
+    """First cover of the edges `hard` with low <= k <= high vertices,
+    the smallest k first, or None; and the node count, `nodes` on entry.
+    `taken` marks the picks on the path to the node; it must be False on
+    the endpoints of `hard` on entry, and a found cover stays marked,
+    which no other component reads."""
+    budget = DEFAULT_NODE_BUDGET
+    chosen: list[int] = []  # the picks on the path to the node
+    for k in range(low, high + 1):
         # (picks above the node, the node's own pick, where its scan starts)
         stack = [(0, 0, 0)]
         while stack:
@@ -117,7 +160,7 @@ def find_twin_cover(
             while i < len(hard) and (taken[hard[i][0]] or taken[hard[i][1]]):
                 i += 1
             if i == len(hard):
-                return tuple(sorted(chosen))
+                return chosen, nodes
             if len(chosen) < k:
                 u, v = hard[i]
                 stamp[u] = stamp[v] = nodes
@@ -131,7 +174,7 @@ def find_twin_cover(
                         break
                 if need <= k:
                     stack += [(len(chosen), v, i + 1), (len(chosen), u, i + 1)]
-    return None
+    return None, nodes
 
 
 def decompose(instance: Instance, cover, partition: TypePartition) -> TwinDecomposition:

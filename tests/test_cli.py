@@ -347,21 +347,41 @@ def test_long_cover_search_is_answered(tmp_path, capsys, monkeypatch):
     assert lines[-2:] == [f"CLASSES {n}", f"COVER {n // 2}"]
 
 
-def test_long_cover_search_exits_two(tmp_path, capsys, monkeypatch):
-    # forty disjoint 5-cycles have no twins; each needs 3 cover vertices
-    # but holds a matching of only 2, so every budget from 80 to 119
-    # must be refuted; the search's nodes count against the oracle's
-    # budget, patched low here to keep the test fast
+def write_cycles(tmp_path, chained):
+    """Forty 5-cycles of threshold 2, disjoint or chained into one
+    component by an edge from vertex b + 3 of each cycle to vertex b + 6
+    of the next; neither graph has twins."""
     n = 200
     edges = [(b + i, b + i % 5 + 1) for b in range(0, n, 5) for i in range(1, 6)]
-    path = tmp_path / "c5x40.hs"
+    if chained:
+        edges += [(b + 3, b + 6) for b in range(0, n - 5, 5)]
+    path = tmp_path / f"c5x40{'-chained' if chained else ''}.hs"
     path.write_text(
         f"p hs {n} {len(edges)}\n"
         + "".join(f"t {v} 2\n" for v in range(1, n + 1))
         + "".join(f"e {u} {v}\n" for u, v in edges)
     )
+    return path
+
+
+def test_disjoint_cover_searches_are_answered(tmp_path, capsys, monkeypatch):
+    # each 5-cycle needs 3 cover vertices but holds a matching of only 2,
+    # so one search over the whole graph would refute every budget from
+    # 80 to 119, past the oracle's budget; each cycle alone refutes one
+    path = write_cycles(tmp_path, chained=False)
     monkeypatch.setattr("harmless.twincover.DEFAULT_NODE_BUDGET", 5000)
-    code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", str(n))
+    code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", "200")
+    assert code == 0 and err == ""
+    assert lines[-2:] == ["CLASSES 200", "COVER 120"]
+
+
+def test_long_cover_search_exits_two(tmp_path, capsys, monkeypatch):
+    # chained, the cycles form one component, whose search still has to
+    # refute budgets below its minimum cover; the search's nodes count
+    # against the oracle's budget, patched low here to keep the test fast
+    path = write_cycles(tmp_path, chained=True)
+    monkeypatch.setattr("harmless.twincover.DEFAULT_NODE_BUDGET", 5000)
+    code, lines, err = run(capsys, "analyze", str(path), "--cover-limit", "200")
     assert code == 2 and lines == []
     assert err == "error: oracle limit: more than 5000 search nodes\n"
 
@@ -421,6 +441,63 @@ def test_malformed_instance(tmp_path, capsys):
     bad.write_text("p hs 1 0\n")
     code, _, err = run(capsys, "solve", str(bad))
     assert code == 1 and "error" in err
+
+
+# (file suffix, file text, stderr): `.hs` files go to `solve`, `.mmo` and
+# `.mrss` files to `generate`; blank and comment lines keep their numbers
+FORMAT_ERRORS = [
+    ("hs", "# nothing but a comment\n", "missing `p hs <n> <m>` header"),
+    ("hs", "p hs 2 x\n", "line 1: non-integer header counts"),
+    ("hs", "p hs -1 0\n", "line 1: negative header counts"),
+    ("hs", "p hs 2 0\nt 1 1\n\nt majority\n", "line 4: `t majority` must be the only threshold line"),
+    ("hs", "p hs 2 0\nt majority\nt 1 1\n", "line 3: threshold line after `t majority`"),
+    ("hs", "p hs 2 0\nt 1\n", "line 2: malformed threshold line 't 1'"),
+    ("hs", "p hs 2 0\n# t\nt 1 x\n", "line 3: non-integer threshold line"),
+    ("hs", "p hs 2 0\nt 1 1\nt 1 2\n", "line 3: duplicate threshold for vertex 1"),
+    ("hs", "p hs 2 1\nt majority\ne 1 x\n", "line 3: non-integer edge line"),
+    ("hs", "p hs 2 1\nt majority\ne 1\n", "line 3: malformed edge line 'e 1'"),
+    ("mmo", "\n", "missing `p mmo <n> <m> <r>` header"),
+    ("mmo", "\np mmo 2 1 x\n", "line 2: non-integer header"),
+    ("mmo", "p mmo 2 1 3\ne 1 2\n", "line 2: expected `e <u> <v> <w>`"),
+    ("mmo", "p mmo 2 1 -1\ne 1 2 1\n", "outdegree bound r must be non-negative"),
+    ("mrss", "# no header\n", "missing `p mrss <k> <n> <k'>` header"),
+    ("mrss", "p mrss 2 x 1\n", "line 1: non-integer header"),
+    ("mrss", "p mrss 1 1 1\n\nt 1\n# c\nt 1\n", "line 5: duplicate target line"),
+    ("mrss", "p mrss 1 1 1\nt x\n", "line 2: non-integer target line"),
+    ("mrss", "p mrss 1 1 1\nt 1\ns 1.5\n", "line 3: non-integer vector line"),
+    ("mrss", "p mrss 1 1 1\nq 1\n", "line 2: unknown line type 'q'"),
+    ("mrss", "p mrss 2 1 1\nt 1\ns 1 1\n", "target has 1 entries, expected 2"),
+    ("mrss", "p mrss 2 2 1\nt 1 1\ns 1 1\ns 1\n", "vector 2 has 1 entries, expected 2"),
+    ("mrss", "p mrss 1 1 -1\nt 1\ns 1\n", "budget k' must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "suffix, text, message", FORMAT_ERRORS, ids=[f"{s}-{m}" for s, _, m in FORMAT_ERRORS]
+)
+def test_format_errors_exit_one(suffix, text, message, tmp_path, capsys):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    argv = ["solve", str(path)] if suffix == "hs" else ["generate", suffix, str(path)]
+    code, lines, err = run(capsys, *argv)
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "cexpr, message",
+    [
+        ("(cexpr 1 (v ))", "vertex name missing"),
+        (  # builds 1-2 and 1-3; the instance is the path 1-2-3
+            "(cexpr 2 (eta 1 2 (union (v 1 2) (union (v 2 1) (v 3 1)))))",
+            "expression does not build the instance graph",
+        ),
+    ],
+)
+def test_cexpr_errors_exit_one(cexpr, message, p3_file, tmp_path, capsys):
+    path = tmp_path / "bad.cexpr"
+    path.write_text(cexpr + "\n")
+    code, lines, err = run(capsys, "solve", p3_file, "--algo", "cliquewidth", "--cexpr", str(path))
+    assert (code, lines, err) == (1, [], f"error: {message}\n")
 
 
 def test_usage_errors_exit_one(capsys):

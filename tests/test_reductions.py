@@ -107,6 +107,45 @@ def test_mmo_paired_oracle_sweep():
             mmo_proof_witness(wg, out, orientation)
 
 
+@pytest.mark.parametrize(
+    "edges, n, k, optimum",
+    [
+        # centre 1 has weighted degree 9, so ceil(9/2) = 5 > r + 1 = 4
+        ({(1, 2): 3, (1, 3): 3, (1, 4): 3}, 433, 40, 40),
+        # centre 1 has weighted degree 9 but may send out only 3 < 4
+        ({(1, 2): 5, (1, 3): 4}, 434, 41, 39),
+        # both ends have weighted degree 9 and neither may take the edge
+        ({(1, 2): 9}, 492, 48, 45),
+    ],
+)
+def test_mmo_type4_pendants(edges, n, k, optimum):
+    # r = 3 throughout; a type-4 vertex carries d_w - r pendant vertices,
+    # all of them in the proof's witness
+    graph = Graph(max(max(e) for e in edges), sorted(edges))
+    wg = WeightedGraph(graph, edges, 3)
+    out = reduce_mmo(wg)
+    heavy = [x for x in graph.vertices() if wg.weighted_degree(x) == 9]
+    assert out.trace["type4"] == tuple(heavy)
+    assert all(len(out.trace[f"pendant_{x}"]) == 9 - 3 for x in heavy)
+    assert (out.instance.graph.n, out.k) == (n, k)
+    ok, orientation = mmo_feasible_bruteforce(wg)
+    assert ok == (optimum == k)
+    if ok:
+        witness = mmo_proof_witness(wg, out, orientation)
+        assert set(out.trace["pendant_1"]) <= set(witness)
+    assert max_harmless_bruteforce(out.instance).size == optimum
+
+
+def test_mmo_decider_backtracks():
+    # the first edges' u->v picks leave no room further on, so the
+    # depth-first decider must undo them
+    weights = {(1, 2): 1, (1, 3): 1, (1, 4): 2, (2, 3): 2, (2, 4): 3, (3, 4): 3}
+    wg = WeightedGraph(Graph(4, sorted(weights)), weights, 3)
+    ok, orientation = mmo_feasible_bruteforce(wg)
+    assert ok
+    assert orientation == ((1, 2), (3, 1), (1, 4), (3, 2), (2, 4), (4, 3))
+
+
 def test_mmo_render_round_trip():
     out = reduce_mmo(WeightedGraph(Graph(2, [(1, 2)]), {(1, 2): 2}, 3))
     text = render_mmo(out)
