@@ -117,14 +117,16 @@ def cmd_solve(args) -> int:
         raise ValueError("--algo cliquewidth requires --cexpr")
     if algo == "planar" and args.k is None:
         raise ValueError("--algo planar requires --k")
-    cover = None
     partition = nd_partition(instance.graph) if algo in ("auto", "nd", "twincover") else None
-    if algo == "auto":
-        if partition.width <= args.nd_limit:
-            algo = "nd"
-        else:
-            cover = find_twin_cover(instance.graph, args.cover_limit, partition)
-            algo = "twincover" if cover is not None else "brute"
+    if algo == "auto" and partition.width <= args.nd_limit:
+        algo = "nd"
+    elif algo == "twincover" and args.cover is not None:
+        cover = as_vertex_set(_id_list(args.cover), instance.graph.n)
+    elif algo in ("auto", "twincover"):
+        cover = find_twin_cover(instance.graph, args.cover_limit, partition)
+        if cover is None and algo == "twincover":
+            raise ValueError(f"no twin cover of size <= {args.cover_limit}; pass --cover")
+        algo = "twincover" if cover is not None else "brute"
 
     rule = None
     if algo == "planar":
@@ -138,14 +140,6 @@ def cmd_solve(args) -> int:
         elif algo == "nd":
             result = solve_nd(instance, partition)
         elif algo == "twincover":
-            if args.cover is not None:
-                cover = as_vertex_set(_id_list(args.cover), instance.graph.n)
-            elif cover is None:
-                cover = find_twin_cover(instance.graph, args.cover_limit, partition)
-                if cover is None:
-                    raise ValueError(
-                        f"no twin cover of size <= {args.cover_limit}; pass --cover"
-                    )
             result = solve_twincover(instance, cover, partition)
         else:
             result = solve_cliquewidth(instance, parse_cexpr(_read(args.cexpr)))

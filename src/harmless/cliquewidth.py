@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, itemgetter, le
+from operator import add, itemgetter
 
 from .core import FormatError, Instance, ReconstructionError, SolveResult, is_harmless
 
@@ -303,10 +303,13 @@ def _dp_tables(
     Dominance only drops keys.  So only a union's or a rho's table is
     sorted before its parent reads it, and no provenance moves.
 
-    Pruning drops keys with a finite surplus <= 0.  Only an eta can
-    lower a surplus: a leaf's is t >= 1, and union and rho take minima
-    of child surpluses that pruning already kept positive.  So the test
-    runs in the eta branch alone, on the two coordinates it changed.
+    Pruning drops keys with a finite surplus <= 0.  No step raises a
+    surplus (an eta subtracts counts r >= 0, and union and rho take
+    minima), so a dropped key has no harmless completion.  Only an eta
+    can bring a surplus to 0 or below: a leaf's is t >= 1, and the
+    minima a union or a rho takes are of child surpluses that pruning
+    already kept positive.  So the test runs in the eta branch alone,
+    on the two coordinates it changed.
 
     Dominance drops keys of dead labels.  A label is live at a node when
     an eta above still reads the vertices holding it there.  At the root
@@ -365,7 +368,6 @@ def _dp_tables(
                 for k2 in right:
                     r2, s2 = k2
                     s = tuple(map(min, s1, s2))
-                    assert all(map(le, s, s1)) and all(map(le, s, s2))
                     table.setdefault((tuple(map(add, r1, r2)), s), (k1, k2))
         elif isinstance(node, Eta):
             ii, jj = node.i - 1, node.j - 1
@@ -376,8 +378,6 @@ def _dp_tables(
                     ns[ii] -= r[jj]
                 if ns[jj] != INF:
                     ns[jj] -= r[ii]
-                # surplus never increases: justifies the <= 0 pruning
-                assert ns[ii] <= s[ii] and ns[jj] <= s[jj]
                 if ns[ii] <= 0 or ns[jj] <= 0:
                     continue
                 table.setdefault((r, tuple(ns)), key)
@@ -391,7 +391,6 @@ def _dp_tables(
                 ns = list(s)
                 ns[jj] = min(ns[ii], ns[jj])
                 ns[ii] = INF
-                assert ns[jj] <= s[ii] and ns[jj] <= s[jj]
                 table.setdefault((tuple(nr), tuple(ns)), key)
         if mask != every:
             counts = live_counts.get(mask)
@@ -475,7 +474,7 @@ def solve_cliquewidth(instance: Instance, expression: CExpression) -> SolveResul
         raise ReconstructionError("DP lost the empty set at the root")
     # pruning keeps every finite surplus >= 1 at every node, so each root
     # key is a harmless shape; take the first largest in sorted order
-    best_key = max(sorted(root_table), key=lambda key: sum(key[0]))
+    best_key = min(root_table, key=lambda key: (-sum(key[0]), key))
     best_size = sum(best_key[0])
     witness = tuple(sorted(ids[name] for name in _extract(order, best_key, tables)))
     if len(witness) != best_size or not is_harmless(instance, witness):

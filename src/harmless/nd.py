@@ -11,8 +11,7 @@ small integer program per guess with `ilp.maximize`, so the work is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from .core import Graph, Instance, ReconstructionError, SolveResult, is_harmless
 from .ilp import maximize
@@ -20,36 +19,20 @@ from .ilp import maximize
 
 @dataclass(frozen=True)
 class TypePartition:
-    """Twin classes, their kind, and adjacency between classes.
+    """Twin classes and their kind.
 
     classes[i] lists members ascending; kinds[i] is "clique" or
     "independent" (singletons count as independent); class_of[v] is the
-    index of v's class (class_of[0] is unused).  type_neighbors[i] holds
-    the indices of the classes adjacent to class i; it is built on first
-    read, since only the nd solver needs it.
+    index of v's class (class_of[0] is unused).
     """
 
     classes: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]
     class_of: tuple[int, ...]
-    graph: Graph = field(compare=False, repr=False)
 
     @property
     def width(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def type_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """One pass over the edges, since adjacency between two twin
-        classes is all or nothing."""
-        index = self.class_of
-        nbrs: list[set[int]] = [set() for _ in self.classes]
-        for u, v in self.graph.edges:
-            i, j = index[u], index[v]
-            if i != j:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-        return tuple(tuple(sorted(row)) for row in nbrs)
 
 
 def nd_partition(graph: Graph) -> TypePartition:
@@ -84,7 +67,7 @@ def nd_partition(graph: Graph) -> TypePartition:
         "clique" if len(cls) >= 2 and graph.has_edge(cls[0], cls[1]) else "independent"
         for cls in classes
     )
-    return TypePartition(tuple(map(tuple, classes)), kinds, tuple(index), graph)
+    return TypePartition(tuple(map(tuple, classes)), kinds, tuple(index))
 
 
 def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple[int, int]:
@@ -94,14 +77,23 @@ def class_threshold_stats(instance: Instance, members: tuple[int, ...]) -> tuple
     return t, alpha
 
 
-def nd_rows(partition: TypePartition) -> tuple[tuple[int, ...], ...]:
+def nd_rows(partition: TypePartition, graph: Graph) -> tuple[tuple[int, ...], ...]:
     """One packing row per class on the classes its members see: the
-    neighbour classes, plus the class itself when it is a clique.  No
-    guess changes a row.
+    neighbour classes ascending, then the class itself when it is a
+    clique.  Adjacency between two twin classes is all or nothing, so
+    one pass over the edges of the partitioned graph finds it.  No guess
+    changes a row.
     """
+    index = partition.class_of
+    nbrs: list[set[int]] = [set() for _ in partition.classes]
+    for u, v in graph.edges:
+        i, j = index[u], index[v]
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
     return tuple(
-        nbrs + (i,) if kind == "clique" else nbrs
-        for i, (nbrs, kind) in enumerate(zip(partition.type_neighbors, partition.kinds))
+        tuple(sorted(row)) + ((i,) if kind == "clique" else ())
+        for i, (row, kind) in enumerate(zip(nbrs, partition.kinds))
     )
 
 
@@ -153,7 +145,7 @@ def solve_nd(instance: Instance, partition: TypePartition | None = None) -> Solv
     clique_classes = [
         i for i in range(partition.width) if partition.kinds[i] == "clique"
     ]
-    rows = nd_rows(partition)
+    rows = nd_rows(partition, instance.graph)
     class_stats = [class_threshold_stats(instance, members) for members in partition.classes]
     stats: dict = {"classes": partition.width, "guesses": 0}
     best: tuple[int, tuple[int, ...]] = (-1, ())

@@ -59,16 +59,16 @@ def test_solve_auto_picks_nd(p3_file, capsys):
 
 
 def test_solve_auto_fallbacks(tmp_path, capsys):
-    # long path: too many classes, cover too big, brute takes over
+    # long path: too many classes, cover too big, brute takes over; on
+    # every route auto ignores --cover, which only --algo twincover reads
     inst = Instance(Graph(20, [(i, i + 1) for i in range(1, 20)]), (1,) * 20)
     path = tmp_path / "p20.hs"
     path.write_text(serialize_instance(inst) + "\n")
-    code, lines, _ = run(capsys, "solve", str(path))
-    assert code == 0 and lines[-1] == "SOLVER brute"
-    code, lines, _ = run(capsys, "solve", str(path), "--nd-limit", "30")
-    assert code == 0 and lines[-1] == "SOLVER nd"
-    code, lines, _ = run(capsys, "solve", str(path), "--cover-limit", "10")
-    assert code == 0 and lines[-1] == "SOLVER twincover"
+    for limits, solver in [([], "brute"), (["--nd-limit", "30"], "nd"),
+                           (["--cover-limit", "10"], "twincover")]:
+        code, lines, err = run(capsys, "solve", str(path), *limits)
+        assert code == 0 and lines[-1] == f"SOLVER {solver}"
+        assert run(capsys, "solve", str(path), *limits, "--cover", "1") == (code, lines, err)
 
 
 def test_auto_and_analyze_build_one_partition(tmp_path, capsys, monkeypatch):

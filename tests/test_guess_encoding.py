@@ -35,6 +35,7 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 def reference_build_nd_ilp(instance, partition, saturating):
     """Every variable in [0, |C|]; the guess as side rows."""
     w = partition.width
+    graph, classes = instance.graph, partition.classes
     variables = tuple(
         IlpVariable(f"x{i}", 0, len(partition.classes[i])) for i in range(w)
     )
@@ -42,8 +43,9 @@ def reference_build_nd_ilp(instance, partition, saturating):
     for i in range(w):
         t, alpha = class_threshold_stats(instance, partition.classes[i])
         coeffs = [0] * w
-        for j in partition.type_neighbors[i]:
-            coeffs[j] = 1
+        for j in range(w):
+            if j != i and graph.has_edge(classes[i][0], classes[j][0]):
+                coeffs[j] = 1
         if partition.kinds[i] == "clique":
             coeffs[i] = 1
             bound = [0] * w
@@ -236,13 +238,17 @@ def test_solve_twincover_matches_per_guess_decompose(case):
 @PROPERTY
 @given(st.one_of(small_instances(), blowups()))
 def test_nd_models_have_one_packing_row_per_class(inst):
-    partition = nd_partition(inst.graph)
-    rows = nd_rows(partition)
+    graph = inst.graph
+    partition = nd_partition(graph)
+    classes = partition.classes
+    rows = nd_rows(partition, graph)
     assert len(rows) == partition.width
     for i, row in enumerate(rows):
         # each class at most once: every coefficient is 0 or 1
         assert len(set(row)) == len(row)
-        assert set(row) - {i} == set(partition.type_neighbors[i])
+        assert set(row) - {i} == {
+            j for j, cj in enumerate(classes) if j != i and graph.has_edge(classes[i][0], cj[0])
+        }
         assert (i in row) == (partition.kinds[i] == "clique")
 
 

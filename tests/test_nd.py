@@ -16,7 +16,7 @@ from test_structural_properties import reference_twins
 def guess_model(inst, part, guess):
     """(rows, bounds, lower, upper) of one saturation guess."""
     class_stats = [class_threshold_stats(inst, members) for members in part.classes]
-    return (nd_rows(part), *nd_bounds(part, class_stats, guess))
+    return (nd_rows(part, inst.graph), *nd_bounds(part, class_stats, guess))
 
 # 9 vertices: 5 is a hub, {6,7} a joined adjacent pair, {8,9} a joined
 # non-adjacent pair, 1..4 pendant on the hub
@@ -40,7 +40,8 @@ def test_partition_four_classes():
     part = nd_partition(HUB9)
     assert part.classes == ((1, 2, 3, 4), (5,), (6, 7), (8, 9))
     assert part.kinds == ("independent", "independent", "clique", "independent")
-    assert part.type_neighbors == ((1,), (0, 2, 3), (1, 3), (1, 2))
+    # neighbour classes ascending, then the clique class itself
+    assert nd_rows(part, HUB9) == ((1,), (0, 2, 3), (1, 3, 2), (1, 2))
     assert part.width == 4
 
 

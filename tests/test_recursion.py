@@ -1,8 +1,11 @@
-"""Which functions of the package still call themselves.
+"""Which functions of the package still call themselves, and that it
+holds no `assert`.
 
 Every search that can go as deep as the input is large runs on an
-explicit stack.  This test reads the source and pins the functions that
-still recurse, so a new one shows up here first.
+explicit stack.  These tests read the source and pin the functions that
+still recurse, so a new one shows up here first.  Checks that `python
+-O` would strip have no place in the package: an invariant is argued in
+its docstring, and a fault detector raises.
 """
 
 import ast
@@ -46,3 +49,9 @@ def test_only_known_functions_recurse():
     for path in sorted(Path(harmless.__file__).parent.glob("*.py")):
         found |= self_calling(ast.parse(path.read_text()), path.stem)
     assert found == RECURSIVE
+
+
+def test_no_assert_statements():
+    for path in sorted(Path(harmless.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

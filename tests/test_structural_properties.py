@@ -20,6 +20,7 @@ import harmless.planar as planar
 from harmless import Graph, Instance, apply_reduction1, find_twin_cover, is_twin_cover, nd_partition
 from harmless.planar import _diameter_scan, color_vertices
 from harmless.core import bfs_distances, is_harmless, slack
+from harmless.nd import nd_rows
 from harmless.twincover import decompose
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -38,6 +39,8 @@ def reference_twins(graph, u, v):
 
 
 def reference_nd_partition(graph):
+    """Classes, kinds and each class's packing row: the classes its
+    first member sees, ascending, then the class itself for a clique."""
     classes = []
     for v in graph.vertices():
         for cls in classes:
@@ -50,11 +53,12 @@ def reference_nd_partition(graph):
         "clique" if len(cls) >= 2 and graph.has_edge(cls[0], cls[1]) else "independent"
         for cls in classes
     )
-    nbrs = tuple(
+    rows = tuple(
         tuple(j for j, cj in enumerate(classes) if j != i and graph.has_edge(ci[0], cj[0]))
-        for i, ci in enumerate(classes)
+        + ((i,) if kind == "clique" else ())
+        for i, (ci, kind) in enumerate(zip(classes, kinds))
     )
-    return tuple(tuple(c) for c in classes), kinds, nbrs
+    return tuple(tuple(c) for c in classes), kinds, rows
 
 
 def reference_bfs(graph, source):
@@ -298,7 +302,7 @@ def test_slack_matches_count(inst, data):
 @given(structured_graphs)
 def test_nd_partition_matches_reference(graph):
     part = nd_partition(graph)
-    assert (part.classes, part.kinds, part.type_neighbors) == reference_nd_partition(graph)
+    assert (part.classes, part.kinds, nd_rows(part, graph)) == reference_nd_partition(graph)
 
 
 @PROPERTY
@@ -372,18 +376,3 @@ def test_find_twin_cover_on_sparse_graph_makes_no_pairwise_test():
     graph = sparse_graph(4000, 4000)
     assert find_twin_cover(graph, 8) is None
     assert find_twin_cover(graph, 8, nd_partition(graph)) is None
-
-
-def test_type_graph_is_built_on_first_read():
-    # the partition and the twin cover search leave it unbuilt; the
-    # first read builds it once and it matches the reference
-    rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randint(0, 12)
-        graph = Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                          if rng.random() < 0.4])
-        part = nd_partition(graph)
-        find_twin_cover(graph, 4, part)
-        assert "type_neighbors" not in vars(part)
-        assert (part.classes, part.kinds, part.type_neighbors) == reference_nd_partition(graph)
-        assert vars(part)["type_neighbors"] is part.type_neighbors
